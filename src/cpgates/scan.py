@@ -1,11 +1,15 @@
 """Parameter sweeps of composite-gate infidelity, plus diagnostic fits.
 
-A scan instantiates the constituent pulse at every grid point, folds the
-composite sequence algebraically over the whole grid at once, and records the
-Frobenius infidelity against the ideal phase gate.  Grid points are pure
-function evaluations: the grid is processed in fixed-size chunks whose
-content never depends on the worker count, and results are stored by index,
-so repeated runs and any number of workers produce bitwise-identical output.
+A scan instantiates the constituent pulse at every grid point through
+:func:`cpgates.pulses.constituent_grid`, folds the composite sequence
+algebraically over the whole grid at once, and records the Frobenius
+infidelity against the ideal phase gate.  Grid points are pure function
+evaluations: closed-form grids are computed in one pass, integrated grids in
+fixed-size chunks whose content never depends on the worker count, and
+results are stored by index, so repeated runs and any number of workers
+produce bitwise-identical output.  A point whose integration misses its
+contract, or whose infidelity is not finite, fails the scan with
+:class:`ScanError`.
 
 Swept parameters are dimensionless and always refer to the template pulse's
 duration T0:
@@ -22,7 +26,6 @@ by "x[,y],F" rows in scientific notation with 12 significant digits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -33,7 +36,7 @@ from .pulses import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     PulseSpec,
-    integrate_pulse_grid,
+    constituent_grid,
 )
 from .sequences import CompositePhases, PhaseGateSequence
 
@@ -59,12 +62,11 @@ PARAMETERS = (
 )
 
 _MAX_SAMPLES = 10_000_000
-_CHUNK = 4096  # fixed; must not depend on the worker count
 _NOISE_FLOOR = 1e-13
 
 
 class ScanError(RuntimeError):
-    """Integration failed at specific grid coordinates."""
+    """Grid points failed; ``coordinates`` is the first failing point."""
 
     def __init__(self, message: str, coordinates: tuple | None = None):
         super().__init__(message)
@@ -87,6 +89,8 @@ class SweepAxis:
                 f"unknown sweep parameter {self.parameter!r}; "
                 f"choose from {', '.join(PARAMETERS)}"
             )
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("axis start and stop must be finite")
         if not (self.start < self.stop):
             raise ValueError("axis start must be below stop")
         if not (2 <= self.samples <= _MAX_SAMPLES):
@@ -182,68 +186,20 @@ def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], mesh):
     return omega0, duration, rate, model
 
 
-def _constituents(
-    template: PulseSpec,
-    omega0: np.ndarray,
-    duration: np.ndarray,
-    rate: np.ndarray,
-    model: str,
-    config: IntegratorConfig,
-    workers: int,
-    coords: tuple[np.ndarray, ...],
-):
-    """Cayley-Klein parameter grids of the constituent pulse, flat arrays."""
-    flat_omega0 = omega0.ravel()
-    flat_duration = duration.ravel()
-    flat_rate = rate.ravel()
-    m = flat_omega0.size
-
-    # resonant rectangular samples always take the exact closed form, also
-    # inside mixed grids (e.g. a detuning sweep passing through zero)
-    exact = np.zeros(m, dtype=bool)
-    if template.shape == "rectangular" and model == "constant":
-        exact = flat_rate == 0.0
-    a = np.empty(m, dtype=np.complex128)
-    b = np.empty(m, dtype=np.complex128)
-    if exact.any():
-        half = 0.5 * flat_omega0[exact] * flat_duration[exact]
-        a[exact] = np.cos(half)
-        b[exact] = -1j * np.sin(half)
-    todo = np.nonzero(~exact)[0]
-    if todo.size == 0:
-        return a, b
-
-    ok = np.empty(todo.size, dtype=bool)
-
-    def run(lo: int) -> None:
-        hi = min(lo + _CHUNK, todo.size)
-        sel = todo[lo:hi]
-        a[sel], b[sel], ok[lo:hi] = integrate_pulse_grid(
-            template.shape,
-            model,
-            flat_omega0[sel],
-            flat_duration[sel],
-            flat_rate[sel],
-            template.window_half_width,
-            config,
-        )
-
-    starts = range(0, todo.size, _CHUNK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
-
-    if not ok.all():
-        bad = int(todo[np.nonzero(~ok)[0][0]])
-        where = tuple(float(c.ravel()[bad]) for c in coords)
-        raise ScanError(
-            f"pulse integration failed at grid coordinates {where}",
-            coordinates=where,
-        )
-    return a, b
+def _check_points(ok: np.ndarray, metric: np.ndarray,
+                  coords: tuple[np.ndarray, ...]) -> None:
+    """Raise ScanError if any point missed its integration contract or is not finite."""
+    bad = np.nonzero(~(ok & np.isfinite(metric)))[0]
+    if bad.size == 0:
+        return
+    where = [tuple(float(c.ravel()[i]) for c in coords) for i in bad[:5]]
+    shown = ", ".join(map(str, where))
+    raise ScanError(
+        f"{bad.size} grid point(s) failed (pulse integration missed its "
+        f"contract or the infidelity is not finite); first at coordinates "
+        f"{shown}",
+        coordinates=where[0],
+    )
 
 
 def _metadata(seq: PhaseGateSequence, template: PulseSpec,
@@ -274,12 +230,13 @@ def _run_scan(
     grids = [ax.grid() for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij") if len(grids) > 1 else [grids[0]]
     omega0, duration, rate, model = _apply_axes(template, axes, mesh)
-    a, b = _constituents(
-        template, omega0, duration, rate, model, config, workers,
-        tuple(c for c in mesh),
+    a, b, ok = constituent_grid(
+        template.shape, model, omega0.ravel(), duration.ravel(), rate.ravel(),
+        template.window_half_width, config, workers,
     )
     ga, gb = _fold_gate(seq.phases, a, b)
     values = _infidelity_grid(ga, gb, seq.gate_phase)
+    _check_points(ok, values, tuple(mesh))
     return ScanResult(
         axes=axes,
         values=values.reshape(omega0.shape),
@@ -329,6 +286,9 @@ def error_order(
     log(metric) against log(eps) over log-spaced eps in ``eps_range``.  The
     metric is the gate infidelity for a :class:`PhaseGateSequence` and the
     surviving-amplitude modulus |a| for a bare :class:`CompositePhases`.
+    The pulses take the same route as scans, the closed form for detuned as
+    well as resonant rectangular pulses, so the samples carry rounding error
+    only and no integration error.
 
     ``perturbation`` is one of:
 
@@ -371,14 +331,16 @@ def error_order(
     omega0 = area  # duration 1
     duration = np.ones_like(eps)
     model = "constant"
-    a, b = _constituents(
-        template, omega0, duration, delta_t, model, config, 1, (eps,)
+    a, b, ok = constituent_grid(
+        template.shape, model, omega0, duration, delta_t,
+        template.window_half_width, config,
     )
     ga, gb = _fold_gate(phases, a, b)
     if isinstance(seq, PhaseGateSequence):
         metric = _infidelity_grid(ga, gb, seq.gate_phase)
     else:
         metric = np.abs(ga)
+    _check_points(ok, metric, (eps,))
 
     usable = metric > _NOISE_FLOOR
     if usable.sum() < 2:

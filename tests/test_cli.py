@@ -129,8 +129,9 @@ class TestScanCommand:
         assert first == second
 
     def test_threads_do_not_change_bytes(self, capsys, tmp_path, monkeypatch):
+        # sech pulses, because only integrated pulses are spread over threads
         argv = ("scan", "--family", "detuning", "--variant", "n3",
-                "--phase-pi", "0.25", "--axis", "detuning_times_T",
+                "--phase-pi", "0.25", "--pulse", "sech", "--axis", "detuning_times_T",
                 "--range=-1.5:1.5", "--samples", "41", "--out", "d.csv")
         (tmp_path / "a").mkdir()
         monkeypatch.chdir(tmp_path / "a")
@@ -170,6 +171,22 @@ class TestScanCommand:
                            "--out", "x.csv")
         assert code == 2
         assert "together" in err
+
+    def test_non_finite_range_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *self.BASE[:9], "--range", "0:inf",
+                           *self.BASE[11:])
+        assert code == 2
+        assert "finite" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_non_finite_infidelity_exit_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *self.BASE[:9], "--range", "0:1e308",
+                           *self.BASE[11:])
+        assert code == 3
+        assert "numerical failure" in err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_unwritable_output_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -3,7 +3,8 @@
 The numerical integrator is validated three ways: the constant-generator
 matrix exponential for rectangular detuned pulses, the Rosen-Zener and
 Allen-Eberly closed forms for sech pulses, and scipy's own adaptive solver
-on random pulse parameters.
+on random pulse parameters.  The closed-form rectangular propagator is held
+to the same matrix exponential.
 """
 
 import math
@@ -18,9 +19,11 @@ from cpgates.pulses import (
     IntegratorConfig,
     IntegrationError,
     PulseSpec,
+    constituent_grid,
     constituent_propagator,
     integrate_pulse,
     integrate_pulse_grid,
+    rect_propagator_grid,
     resonant_rect_propagator,
     transition_probability,
 )
@@ -29,15 +32,15 @@ PI = math.pi
 TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 
-def rect_oracle(area: float, delta_t: float, duration: float = 1.0):
-    """Constant-generator reference: S(T) @ expm(-i H T) in one step."""
-    omega = area / duration
-    delta = delta_t / duration
-    h = 0.5 * np.array([[-delta, omega], [omega, delta]], dtype=complex)
-    u = expm(-1j * h * duration)
-    s = np.diag(
-        [np.exp(-0.5j * delta * duration), np.exp(0.5j * delta * duration)]
-    )
+def rect_oracle(area: float, delta_t: float):
+    """Constant-generator reference: S(T) @ expm(-i H T) in one step.
+
+    H T depends only on the products area = Omega*T and delta_t = Delta*T,
+    so a zero duration (both products zero) gives the identity.
+    """
+    ht = 0.5 * np.array([[-delta_t, area], [area, delta_t]], dtype=complex)
+    u = expm(-1j * ht)
+    s = np.diag([np.exp(-0.5j * delta_t), np.exp(0.5j * delta_t)])
     return s @ u
 
 
@@ -271,6 +274,46 @@ class TestIntegratorContract:
             assert single.b == b[i]
 
 
+class TestClosedFormRectangular:
+    def test_matches_matrix_exponential(self):
+        rng = np.random.default_rng(11)
+        omega = rng.uniform(0.0, 8.0, 300)
+        delta = rng.uniform(-10.0, 10.0, 300)
+        duration = rng.uniform(0.0, 2.0, 300)  # |Delta*T| up to 20
+        omega[:20] = 0.0
+        delta[20:40] = 0.0
+        duration[40:60] = 0.0
+        omega[60:70] = delta[60:70] = 0.0
+        a, b = rect_propagator_grid(omega, duration, delta)
+        for i in range(omega.size):
+            want = rect_oracle(omega[i] * duration[i], delta[i] * duration[i])
+            assert abs(a[i] - want[0, 0]) < 1e-12
+            assert abs(b[i] - want[0, 1]) < 1e-12
+
+    def test_resonant_is_bit_identical_to_cos_sin(self):
+        rng = np.random.default_rng(12)
+        omega = rng.uniform(0.0, 12.0, 1000)
+        duration = rng.uniform(0.0, 2.0, 1000)
+        a, b = rect_propagator_grid(omega, duration, np.zeros(1000))
+        half = 0.5 * omega * duration
+        assert a.tobytes() == (np.cos(half) + 0j).tobytes()
+        assert b.tobytes() == (-1j * np.sin(half)).tobytes()
+
+    def test_scalar_and_grid_paths_agree(self):
+        rng = np.random.default_rng(13)
+        omega = rng.uniform(0.0, 8.0, 200)
+        delta = rng.uniform(-5.0, 5.0, 200)
+        delta[:50] = 0.0
+        a, b, ok = constituent_grid("rectangular", "constant", omega,
+                                    np.ones(200), delta, 25.0, IntegratorConfig())
+        assert ok.all()
+        for i in range(200):
+            got = constituent_propagator(
+                PulseSpec("rectangular", omega[i], 1.0, ConstantDetuning(delta[i])))
+            assert abs(got.a - a[i]) < 1e-15
+            assert abs(got.b - b[i]) < 1e-15
+
+
 class TestConstituentDispatch:
     def test_resonant_rect_takes_closed_form(self):
         spec = PulseSpec.rectangular(1.3)
@@ -278,12 +321,13 @@ class TestConstituentDispatch:
         want = resonant_rect_propagator(1.3)
         assert got.a == want.a and got.b == want.b
 
-    def test_detuned_rect_is_integrated(self):
+    def test_detuned_rect_takes_closed_form(self):
         spec = PulseSpec.rectangular(1.3, detuning=0.9)
         got = constituent_propagator(spec)
         want = rect_oracle(1.3, 0.9)
-        assert abs(got.a - want[0, 0]) < 1e-9
-        assert got.unitarity_defect() < 1e-9
+        assert abs(got.a - want[0, 0]) < 1e-12
+        assert abs(got.b - want[0, 1]) < 1e-12
+        assert got.unitarity_defect() < 1e-12
 
     def test_sech_is_integrated(self):
         got = constituent_propagator(PulseSpec.sech(1.0))

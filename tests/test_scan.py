@@ -52,6 +52,9 @@ class TestSweepAxis:
             dict(parameter="detuning_times_T", start=0, stop=1, samples=5, spacing="weird"),
             dict(parameter="detuning_times_T", start=0, stop=1, samples=5, spacing="log"),
             dict(parameter="detuning_times_T", start=0, stop=1, samples=20_000_001),
+            dict(parameter="pulse_area_fraction", start=0, stop=math.inf, samples=5),
+            dict(parameter="pulse_area_fraction", start=-math.inf, stop=1, samples=5),
+            dict(parameter="pulse_area_fraction", start=math.nan, stop=1, samples=5),
         ],
     )
     def test_rejects_bad_axes(self, kwargs):
@@ -136,14 +139,25 @@ class TestScan1D:
         assert 0.5 <= err.value.coordinates[0] <= 8.0
 
     def test_worker_count_invariance_across_chunks(self):
-        # a grid above the chunk size exercises multi-chunk scheduling
+        # a grid above the 4,096-point chunk size exercises multi-chunk
+        # scheduling; sech pulses are integrated, rectangular ones are not
         ax = SweepAxis("duration_fraction", 0.1, 2.0, 70)
         ay = SweepAxis("detuning_times_T", -2.0, 2.0, 70)
         seq = bb_gate(1, PI / 4)
-        t = PulseSpec.rectangular(PI, detuning=0.3)
-        r1 = scan_2d(ax, ay, seq, t, workers=1)
-        r2 = scan_2d(ax, ay, seq, t, workers=2)
+        t = PulseSpec.sech(1.0, detuning=0.3)
+        loose = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+        r1 = scan_2d(ax, ay, seq, t, config=loose, workers=1)
+        r2 = scan_2d(ax, ay, seq, t, config=loose, workers=2)
         assert np.array_equal(r1.values, r2.values)
+
+    def test_non_finite_infidelity_is_a_scan_error(self):
+        # finite axis bounds whose Rabi frequency overflows to inf
+        axis = SweepAxis("pulse_area_fraction", 0.0, 1e308, 5)
+        with pytest.raises(ScanError) as err:
+            scan_1d(axis, bb_gate(3), PulseSpec.rectangular(PI))
+        assert err.value.coordinates == (7.5e307,)
+        assert str(err.value).startswith("2 grid point(s) failed")
+        assert "(7.5e+307,), (1e+308,)" in str(err.value)
 
 
 class TestScan2D:

@@ -5,10 +5,16 @@ instead of one Python-level solver call per grid point this module advances a
 whole batch in lockstep with numpy, each system carrying its own time, step
 size and accept/reject history.  A system's step sequence depends only on its
 own state, which keeps every result bitwise identical no matter how a grid is
-split into batches or spread over workers.
+split into batches or spread over workers.  For the same reason stage sums are
+elementwise multiply-adds in a fixed order, never a matrix product, whose
+blocking could make a row's bits depend on the batch size.
 
-The stepper is the embedded Dormand-Prince 5(4) pair with a standard
-proportional step controller.
+The stepper is DOP853, the explicit Runge-Kutta method of order 8 by Dormand
+and Prince (Hairer, Norsett and Wanner, *Solving Ordinary Differential
+Equations I*, section II.10), with scipy's error norm: the 5th-order
+estimate corrected by the 3rd-order one.  A standard proportional controller
+sets the next step.  At the tolerances of pulse integration it needs two to
+three times fewer right-hand-side evaluations than a 5(4) pair.
 """
 
 from __future__ import annotations
@@ -20,44 +26,109 @@ import numpy as np
 
 __all__ = ["BatchResult", "solve_batch"]
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
+# DOP853 tableau: nodes, then the sparse rows (column, weight) of the stage
+# matrix; _A[s] builds stage s from stages 0..s-1.
+_C = (
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
 )
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
+_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2),
+     (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2),
+     (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1),
+     (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2),
+     (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2),
+     (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2),
+     (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2),
+     (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1),
+     (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1),
+     (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1),
+     (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1),
+     (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1),
+     (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1),
+     (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1),
+     (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1),
+     (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654),
+     (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1),
+     (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762),
+     (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449),
+     (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444),
+     (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1),
+     (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258),
+     (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
 )
-_B1, _B3, _B4, _B5, _B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
+# 8th-order solution weights.
+_B = (
+    (0, 5.42937341165687622380535766363e-2),
+    (5, 4.45031289275240888144113950566),
+    (6, 1.89151789931450038304281599044),
+    (7, -5.8012039600105847814672114227),
+    (8, 3.1116436695781989440891606237e-1),
+    (9, -1.52160949662516078556178806805e-1),
+    (10, 2.01365400804030348374776537501e-1),
+    (11, 4.47106157277725905176885569043e-2),
 )
-# Difference between the 5th- and 4th-order weights (error estimator).
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    _B1 - 5179.0 / 57600.0,
-    _B3 - 7571.0 / 16695.0,
-    _B4 - 393.0 / 640.0,
-    _B5 + 92097.0 / 339200.0,
-    _B6 - 187.0 / 2100.0,
-    -1.0 / 40.0,
+# Error weights of the 5th- and 3rd-order estimates.  Both vanish on the
+# stage at the step's end, so a rejected step never evaluates it.
+_E5 = (
+    (0, 0.1312004499419488073250102996e-1),
+    (5, -0.1225156446376204440720569753e+1),
+    (6, -0.4957589496572501915214079952),
+    (7, 0.1664377182454986536961530415e+1),
+    (8, -0.3503288487499736816886487290),
+    (9, 0.3341791187130174790297318841),
+    (10, 0.8192320648511571246570742613e-1),
+    (11, -0.2235530786388629525884427845e-1),
 )
+_E3_SHIFT = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_E3 = tuple((j, w - _E3_SHIFT.get(j, 0.0)) for j, w in _B)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / 8.0  # one over (order of the error estimate + 1)
 
 
 @dataclass
@@ -67,6 +138,16 @@ class BatchResult:
     y: np.ndarray        # (m, d) complex, final states
     success: np.ndarray  # (m,) bool
     n_steps: np.ndarray  # (m,) int, accepted + rejected step attempts
+
+
+def _combine(weights, k: list[np.ndarray]) -> np.ndarray:
+    # sum of w * k[j] over the sparse weights, in their order; k holds float
+    # views of complex stages, so each product is a real multiply
+    (j, w), *rest = weights
+    total = k[j] * w
+    for j, w in rest:
+        total += k[j] * w
+    return total
 
 
 def solve_batch(
@@ -86,7 +167,8 @@ def solve_batch(
         Vectorized right-hand side.  Called as ``rhs(t, y, idx)`` where
         ``t`` has shape (k,), ``y`` has shape (k, d) and ``idx`` holds the
         original indices of the k currently active systems, so per-system
-        parameters can be gathered by the callee.
+        parameters can be gathered by the callee.  Must return a new
+        C-ordered complex128 array of shape (k, d).
     t_start, t_end : (m,) arrays
         Integration window per system.  Systems with an empty window keep
         their initial state.
@@ -99,7 +181,7 @@ def solve_batch(
     t0 = np.atleast_1d(np.asarray(t_start, dtype=float))
     t1 = np.atleast_1d(np.asarray(t_end, dtype=float))
     y = np.array(y0, dtype=np.complex128, copy=True)
-    m = y.shape[0]
+    m, d = y.shape
     span = t1 - t0
 
     t = t0.copy()
@@ -128,37 +210,31 @@ def solve_batch(
 
     while active.any():
         idx = np.nonzero(active)[0]
-        ta, ya, ha, k1a = t[idx], y[idx], np.minimum(h[idx], h_cap[idx]), k1[idx]
+        ta, ya = t[idx], y[idx]
         remaining = t1[idx] - ta
-        hs = np.minimum(ha, remaining)
+        hs = np.minimum(np.minimum(h[idx], h_cap[idx]), remaining)
         final_step = hs >= remaining
         hc = hs[:, None]
+        y_flat = ya.view(np.float64)
 
-        k2 = rhs(ta + _C[0] * hs, ya + hc * (_A21 * k1a), idx)
-        k3 = rhs(ta + _C[1] * hs, ya + hc * (_A31 * k1a + _A32 * k2), idx)
-        k4 = rhs(ta + _C[2] * hs, ya + hc * (_A41 * k1a + _A42 * k2 + _A43 * k3), idx)
-        k5 = rhs(
-            ta + _C[3] * hs,
-            ya + hc * (_A51 * k1a + _A52 * k2 + _A53 * k3 + _A54 * k4),
-            idx,
-        )
-        k6 = rhs(
-            ta + _C[4] * hs,
-            ya + hc * (_A61 * k1a + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-            idx,
-        )
-        y_new = ya + hc * (_B1 * k1a + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = rhs(ta + hs, y_new, idx)
+        k = [k1[idx].view(np.float64)]
+        for c, row in zip(_C[1:], _A[1:]):
+            stage_y = (y_flat + hc * _combine(row, k)).view(np.complex128)
+            k.append(rhs(ta + c * hs, stage_y, idx).view(np.float64))
+        y_new = (y_flat + hc * _combine(_B, k)).view(np.complex128)
 
-        err = hc * (
-            _E1 * k1a + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-        )
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
-        err_norm = np.sqrt(np.mean((np.abs(err) / scale) ** 2, axis=1))
+        err5 = np.sum((np.abs(_combine(_E5, k).view(np.complex128)) / scale) ** 2,
+                      axis=1)
+        err3 = np.sum((np.abs(_combine(_E3, k).view(np.complex128)) / scale) ** 2,
+                      axis=1)
+        denom = err5 + 0.01 * err3
+        with np.errstate(invalid="ignore", divide="ignore"):
+            err_norm = np.where(denom == 0.0, 0.0, hs * err5 / np.sqrt(denom * d))
 
         accept = err_norm <= 1.0  # NaN compares False, rejecting bad steps
         with np.errstate(divide="ignore"):
-            factor = _SAFETY * err_norm ** -0.2
+            factor = _SAFETY * err_norm ** _EXPONENT
         factor = np.where(err_norm == 0.0, _MAX_FACTOR, factor)
         factor = np.where(np.isnan(factor), _MIN_FACTOR, factor)
         factor = np.clip(factor, _MIN_FACTOR, _MAX_FACTOR)
@@ -170,7 +246,10 @@ def solve_batch(
             acc = idx[accept]
             t[acc] = np.where(final_step[accept], t1[acc], ta[accept] + hs[accept])
             y[acc] = y_new[accept]
-            k1[acc] = k7[accept]
+            # first stage of the next step, for systems that go on
+            going = acc[t[acc] < t1[acc]]
+            if going.size:
+                k1[going] = rhs(t[going], y[going], going)
 
         n_steps[idx] += 1
         exhausted = n_steps[idx] >= max_steps

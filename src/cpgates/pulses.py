@@ -16,7 +16,10 @@ grids of pulses (:func:`constituent_grid`) alike.  Rectangular pulses with a
 constant detuning, resonant or not, have the closed Rabi form of
 :func:`rect_propagator_grid`; hyperbolic-secant pulses, with a constant or a
 tanh-swept detuning, are integrated numerically by
-:func:`integrate_pulse_grid`.
+:func:`integrate_pulse_grid`.  Inside a :func:`grid_reuse` scope, which
+``cpgates preset`` opens for one command, an integrated grid whose inputs
+repeat exactly is integrated once and handed out again; nothing is kept once
+the scope ends.
 
 Times are in arbitrary units; all physically meaningful inputs are the
 dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
@@ -25,10 +28,12 @@ dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -45,6 +50,7 @@ __all__ = [
     "resonant_rect_propagator",
     "rect_propagator_grid",
     "integrate_pulse",
+    "grid_reuse",
     "constituent_grid",
     "constituent_propagator",
     "transition_probability",
@@ -56,6 +62,11 @@ __all__ = [
 DEFAULT_WINDOW_HALF_WIDTH = 25.0
 
 _CHUNK = 4096  # points per integration chunk; fixed, never the worker count
+
+# integrated grids of the open grid_reuse scope, by their exact inputs; None
+# outside any scope, so nothing is kept between commands
+_reused_grids: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "cpgates_reused_grids", default=None)
 
 
 @dataclass(frozen=True)
@@ -253,12 +264,14 @@ def integrate_pulse_grid(
     rate: np.ndarray,
     window_half_width: float,
     config: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return_steps: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Integrate a batch of pulses sharing one shape and detuning model.
 
     ``omega0``, ``duration`` and ``rate`` (constant detuning or chirp rate,
     depending on ``model``) are flat arrays of equal length.  Returns flat
-    arrays (a, b) of Cayley-Klein parameters plus a boolean success mask.
+    arrays (a, b) of Cayley-Klein parameters plus a boolean success mask,
+    and with ``return_steps`` also the step attempts per pulse.
     Zero-duration entries come back as the identity.  Rectangular pulses
     normally take their closed form (see :func:`constituent_grid`); they are
     integrated here only to check the integrator against that form.
@@ -274,27 +287,30 @@ def integrate_pulse_grid(
     else:
         t_start = -window_half_width * duration
         t_end = window_half_width * duration
-    # width enters only through t/width; keep zero-duration rows inert
+    # per-system constants, hoisted out of the right-hand side; width enters
+    # only through t/width, and zero-duration rows stay inert
     safe_width = np.where(duration > 0, duration, 1.0)
-
+    inv_width = 1.0 / safe_width
     if model == "constant":
-        def phase_integral(t, idx):
-            return rate[idx] * (t - t_start[idx])
+        # D(t) = rate * (t - t_start)
+        per_system = (0.5 * omega0, inv_width, rate, t_start)
     else:
-        def phase_integral(t, idx):
-            w = safe_width[idx]
-            return rate[idx] * w * (_log_cosh(t / w) - _log_cosh(t_start[idx] / w))
-
-    if shape == "rectangular":
-        def envelope(t, idx):
-            return omega0[idx]
-    else:
-        def envelope(t, idx):
-            return omega0[idx] / np.cosh(t / safe_width[idx])
+        # D(t) = rate * width * (ln cosh(t/width) - ln cosh(t_start/width))
+        per_system = (0.5 * omega0, inv_width, rate * safe_width,
+                      _log_cosh(t_start * inv_width))
 
     def rhs(t, y, idx):
+        half_omega, inv_w, phase_rate, phase_offset = (p[idx] for p in per_system)
+        if model == "constant":
+            phase = phase_rate * (t - phase_offset)
+        else:
+            phase = phase_rate * (_log_cosh(t * inv_w) - phase_offset)
+        if shape == "rectangular":
+            envelope = half_omega
+        else:
+            envelope = half_omega / np.cosh(t * inv_w)
         # i dc/dt = H c with H = (1/2) Omega e^{-iD} |1><2| + h.c.
-        half_coupling = 0.5 * envelope(t, idx) * np.exp(-1j * phase_integral(t, idx))
+        half_coupling = envelope * np.exp(-1j * phase)
         out = np.empty_like(y)
         out[:, 0] = -1j * half_coupling * y[:, 1]
         out[:, 1] = -1j * np.conj(half_coupling) * y[:, 0]
@@ -310,6 +326,8 @@ def integrate_pulse_grid(
     b = -np.conj(result.y[:, 1])
     defect = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)
     ok = result.success & (defect <= 10.0 * config.rel_tol)
+    if return_steps:
+        return a, b, ok, result.n_steps
     return a, b, ok
 
 
@@ -332,7 +350,7 @@ def integrate_pulse(spec: PulseSpec,
         If the step budget is exhausted or the result drifts off the unit
         sphere by more than 10 * rel_tol.
     """
-    a, b, ok = integrate_pulse_grid(
+    a, b, ok, steps = integrate_pulse_grid(
         spec.shape,
         _model(spec),
         np.array([spec.peak_rabi]),
@@ -340,6 +358,7 @@ def integrate_pulse(spec: PulseSpec,
         np.array([spec._rate()]),
         spec.window_half_width,
         config,
+        return_steps=True,
     )
     prop = Propagator(complex(a[0]), complex(b[0]))
     if not ok[0]:
@@ -347,8 +366,28 @@ def integrate_pulse(spec: PulseSpec,
             f"pulse integration failed (unitarity defect "
             f"{prop.unitarity_defect():.3e}, requested rel_tol {config.rel_tol:g})",
             achieved_defect=prop.unitarity_defect(),
+            n_steps=int(steps[0]),
         )
     return prop
+
+
+@contextlib.contextmanager
+def grid_reuse() -> Iterator[None]:
+    """Scope inside which :func:`constituent_grid` integrates each grid once.
+
+    A repeated call with the same shape, detuning model, window,
+    :class:`IntegratorConfig` and the same bytes of ``omega0``, ``duration``
+    and ``rate`` returns the arrays of the first call, marked read-only:
+    the bits that integrating again would give.  Closed-form grids are
+    recomputed, which costs about as much as a lookup.  Everything kept is
+    dropped when the scope ends; ``cpgates preset`` opens one per command,
+    so the jobs of a preset that share a constituent grid integrate it once.
+    """
+    token = _reused_grids.set({})
+    try:
+        yield
+    finally:
+        _reused_grids.reset(token)
 
 
 def constituent_grid(
@@ -372,23 +411,35 @@ def constituent_grid(
 
     Arguments are as for :func:`integrate_pulse_grid`; returns flat arrays
     (a, b, ok), where ``ok`` is False at points whose integration missed
-    its contract.  Closed-form points are always ``ok``.
+    its contract.  Closed-form points are always ``ok``.  Inside a
+    :func:`grid_reuse` scope an integrated grid seen before is not
+    integrated again.
     """
     if _closed_form(shape, model):
         a, b = rect_propagator_grid(omega0, duration, rate)
         return a, b, np.ones(a.shape, dtype=bool)
+
+    reused = _reused_grids.get()
+    if reused is not None:
+        key = (shape, model, window_half_width, config,
+               *(np.asarray(v, float).tobytes() for v in (omega0, duration, rate)))
+        if key in reused:
+            return reused[key]
 
     m = omega0.size
     a = np.empty(m, dtype=np.complex128)
     b = np.empty(m, dtype=np.complex128)
     ok = np.empty(m, dtype=bool)
 
+    errors = np.geterr()  # worker threads start from numpy's default state
+
     def run(lo: int) -> None:
         sel = slice(lo, lo + _CHUNK)
-        a[sel], b[sel], ok[sel] = integrate_pulse_grid(
-            shape, model, omega0[sel], duration[sel], rate[sel],
-            window_half_width, config,
-        )
+        with np.errstate(**errors):
+            a[sel], b[sel], ok[sel] = integrate_pulse_grid(
+                shape, model, omega0[sel], duration[sel], rate[sel],
+                window_half_width, config,
+            )
 
     starts = range(0, m, _CHUNK)
     if workers > 1:
@@ -397,6 +448,10 @@ def constituent_grid(
     else:
         for lo in starts:
             run(lo)
+    if reused is not None:
+        for arr in (a, b, ok):
+            arr.flags.writeable = False
+        reused[key] = a, b, ok
     return a, b, ok
 
 

@@ -229,13 +229,16 @@ def _run_scan(
 ) -> ScanResult:
     grids = [ax.grid() for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij") if len(grids) > 1 else [grids[0]]
-    omega0, duration, rate, model = _apply_axes(template, axes, mesh)
-    a, b, ok = constituent_grid(
-        template.shape, model, omega0.ravel(), duration.ravel(), rate.ravel(),
-        template.window_half_width, config, workers,
-    )
-    ga, gb = _fold_gate(seq.phases, a, b)
-    values = _infidelity_grid(ga, gb, seq.gate_phase)
+    # overflow and NaN surface as non-finite points, which _check_points
+    # reports as a ScanError, so numpy need not warn about them on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega0, duration, rate, model = _apply_axes(template, axes, mesh)
+        a, b, ok = constituent_grid(
+            template.shape, model, omega0.ravel(), duration.ravel(), rate.ravel(),
+            template.window_half_width, config, workers,
+        )
+        ga, gb = _fold_gate(seq.phases, a, b)
+        values = _infidelity_grid(ga, gb, seq.gate_phase)
     _check_points(ok, values, tuple(mesh))
     return ScanResult(
         axes=axes,

@@ -1,17 +1,21 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
+from cpgates import pulses
 from cpgates.cli import main
+from cpgates.presets import preset_jobs
 from cpgates.pulses import PulseSpec, constituent_propagator
 from cpgates.sequences import (
     broadband_phases,
     gate_propagator,
     make_phase_gate_sequence,
 )
+from cpgates.scan import scan_1d, write_scan_csv
 from cpgates.su2 import TargetGate, infidelity
 
 PI = math.pi
@@ -21,6 +25,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def data_rows(text: str) -> list[str]:
+    return [ln for ln in text.splitlines() if not ln.startswith("#")]
 
 
 def strip_volatile(text: str) -> str:
@@ -180,13 +188,28 @@ class TestScanCommand:
         assert "finite" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_infidelity_exit_code(self, capsys, tmp_path, monkeypatch):
+        # overflowing axis values fail the scan without numpy warnings
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, *self.BASE[:9], "--range", "0:1e308",
                            *self.BASE[11:])
         assert code == 3
-        assert "numerical failure" in err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_worker_threads_fails_without_warnings(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # integrated chunks run in pool threads, which start from numpy's
+        # default error state
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *self.BASE[:9], "--range", "0:1e308",
+                           *self.BASE[11:], "--pulse", "sech", "--threads", "2")
+        assert code == 3
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
 
     def test_unwritable_output_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -227,6 +250,35 @@ class TestPresetCommand:
                          "--samples-scale", "0.01")
         assert code == 0
         assert len(list(tmp_path.glob("fig3_*.csv"))) == 6
+
+    @pytest.mark.parametrize("name, grids", [("fig2", 1), ("fig3", 3)])
+    def test_shared_grids_integrate_once_per_command(self, capsys, tmp_path,
+                                                     monkeypatch, name, grids):
+        calls = []
+        original = pulses.integrate_pulse_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pulses, "integrate_pulse_grid", counted)
+        argv = ("preset", name, "--samples-scale", "0.05", "--out-dir")
+        code, _, _ = run(capsys, *argv, str(tmp_path / "a"))
+        assert code == 0
+        assert len(calls) == grids
+
+        # each job run alone gives the same data rows
+        for job in preset_jobs(name, samples_scale=0.05):
+            alone = io.StringIO()
+            write_scan_csv(scan_1d(job.axes[0], job.seq, job.template), alone)
+            written = (tmp_path / "a" / job.filename).read_text()
+            assert data_rows(written) == data_rows(alone.getvalue())
+
+        # nothing is kept from one command to the next
+        calls.clear()
+        code, _, _ = run(capsys, *argv, str(tmp_path / "b"))
+        assert code == 0
+        assert len(calls) == grids
 
     def test_fig4_runs_small(self, capsys, tmp_path):
         code, _, _ = run(capsys, "preset", "fig4", "--out-dir", str(tmp_path),

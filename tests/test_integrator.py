@@ -1,7 +1,9 @@
 """Direct checks of the batched adaptive stepper on problems with closed forms."""
 
 import numpy as np
+import pytest
 
+from cpgates import integrator
 from cpgates.integrator import solve_batch
 
 
@@ -69,3 +71,37 @@ def test_mixed_spans_integrate_independently():
     assert res.success.all()
     want = np.exp(-rate * spans)[:, None] * y0
     assert np.max(np.abs(res.y - want)) < 1e-9
+
+
+def _dense(rows, width):
+    out = np.zeros((len(rows), width))
+    for s, row in enumerate(rows):
+        for j, w in row:
+            out[s, j] = w
+    return out
+
+
+def test_dop853_tableau_matches_scipy():
+    # scipy's transcription is an independent copy of Hairer's coefficients
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = ref.N_STAGES
+    assert np.array_equal(np.array(integrator._C), ref.C[:n])
+    assert np.array_equal(_dense(integrator._A, n), ref.A[:n, :n])
+    assert np.array_equal(_dense([integrator._B], n)[0], ref.B)
+    assert np.array_equal(_dense([integrator._E5], n + 1)[0], ref.E5)
+    assert np.array_equal(_dense([integrator._E3], n + 1)[0], ref.E3)
+
+
+def test_linear_decay_converges_at_tight_tolerance():
+    # the 8th-order stepper reaches the rounding floor on the decay problem
+    rates = np.array([0.3, 1.0, 2.5])
+    spans = np.array([1.0, 2.0, 0.5])
+    y0 = np.array([[1.0 + 0.5j, 2.0 + 0j]] * 3, dtype=complex)
+
+    def rhs(t, y, idx):
+        return -rates[idx][:, None] * y
+
+    res = solve_batch(rhs, np.zeros(3), spans, y0, 1e-13, 1e-15, 10_000)
+    assert res.success.all()
+    want = y0 * np.exp(-rates * spans)[:, None]
+    assert np.max(np.abs(res.y - want)) < 1e-13

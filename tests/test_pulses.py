@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from cpgates import pulses
 from cpgates.pulses import (
     ConstantDetuning,
     IntegratorConfig,
@@ -21,6 +22,7 @@ from cpgates.pulses import (
     PulseSpec,
     constituent_grid,
     constituent_propagator,
+    grid_reuse,
     integrate_pulse,
     integrate_pulse_grid,
     rect_propagator_grid,
@@ -259,6 +261,7 @@ class TestIntegratorContract:
             integrate_pulse(PulseSpec.sech(8.0, chirp_rate=1.0),
                             IntegratorConfig(max_steps=5))
         assert "rel_tol" in str(err.value)
+        assert err.value.n_steps == 5
 
     def test_batch_equals_single_evaluation(self):
         # chunk membership must not change any bits
@@ -332,3 +335,58 @@ class TestConstituentDispatch:
     def test_sech_is_integrated(self):
         got = constituent_propagator(PulseSpec.sech(1.0))
         assert abs(got.a) < 1e-8
+
+
+class TestGridReuse:
+    RABI = np.linspace(0.5, 4.0, 7)
+
+    def grid(self, config=IntegratorConfig(), rate=1.0):
+        return constituent_grid("sech", "tanh_chirp", self.RABI, np.ones(7),
+                                np.full(7, rate), 25.0, config)
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        calls = []
+        original = pulses.integrate_pulse_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pulses, "integrate_pulse_grid", counted)
+        return calls
+
+    def test_repeat_returns_the_same_read_only_bits(self, integrations):
+        alone = self.grid()
+        with grid_reuse():
+            first = self.grid()
+            again = self.grid()
+        assert len(integrations) == 2  # alone, then once inside the scope
+        for got, ref, want in zip(again, first, alone):
+            assert got is ref
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+
+    def test_changed_inputs_integrate_again(self, integrations):
+        with grid_reuse():
+            self.grid()
+            self.grid(config=IntegratorConfig(rel_tol=1e-9))
+            self.grid(rate=np.nextafter(1.0, 2.0))
+        assert len(integrations) == 3
+
+    def test_closed_form_grids_are_not_kept(self, integrations):
+        args = ("rectangular", "constant", np.full(3, PI), np.ones(3),
+                np.linspace(-1.0, 1.0, 3), 25.0, IntegratorConfig())
+        with grid_reuse():
+            first = constituent_grid(*args)
+            again = constituent_grid(*args)
+            assert pulses._reused_grids.get() == {}
+        assert first[0] is not again[0]
+        assert integrations == []
+
+    def test_nothing_outlives_the_scope(self, integrations):
+        with grid_reuse():
+            self.grid()
+        assert pulses._reused_grids.get() is None
+        self.grid()
+        assert len(integrations) == 2

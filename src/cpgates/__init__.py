@@ -5,6 +5,8 @@ compute their propagators under systematic parameter errors, and map gate
 infidelity across parameter sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .su2 import (
@@ -12,6 +14,8 @@ from .su2 import (
     Propagator,
     TargetGate,
     compose,
+    fold,
+    gate_infidelity,
     infidelity,
     phase_invariant_infidelity,
     sequence_propagator,
@@ -55,46 +59,8 @@ from .scan import (
 )
 from .presets import PRESETS, preset_jobs
 
-__all__ = [
-    "__version__",
-    "IDENTITY",
-    "Propagator",
-    "TargetGate",
-    "compose",
-    "infidelity",
-    "phase_invariant_infidelity",
-    "sequence_propagator",
-    "target_gate_matrix",
-    "with_phase",
-    "ConstantDetuning",
-    "DEFAULT_CONFIG",
-    "IntegrationError",
-    "IntegratorConfig",
-    "PulseSpec",
-    "TanhChirp",
-    "constituent_propagator",
-    "integrate_pulse",
-    "resonant_rect_propagator",
-    "transition_probability",
-    "CompositePhases",
-    "PhaseGateSequence",
-    "broadband_phases",
-    "composite_phases",
-    "detuning_phases",
-    "gate_propagator",
-    "make_phase_gate_sequence",
-    "sequence_table",
-    "universal_phases",
-    "ScanError",
-    "ScanResult",
-    "SweepAxis",
-    "error_order",
-    "high_fidelity_bandwidth",
-    "read_scan_csv",
-    "save_scan_csv",
-    "scan_1d",
-    "scan_2d",
-    "write_scan_csv",
-    "PRESETS",
-    "preset_jobs",
+# the public names imported above, each listed once
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -5,10 +5,13 @@ All angles on the command line are given in units of pi (so ``--phase-pi
 transcendentals.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 3 numerical failure.
 
-``preset`` runs its jobs inside one :func:`cpgates.pulses.grid_reuse` scope,
-so jobs that share a constituent grid of integrated pulses (all of fig2, and
-the two gate phases of each fig3 sequence) integrate it once per command.
-Each job still runs its own scan and writes the bytes it would write alone.
+``fidelity`` runs the same propagator, fold and infidelity kernels as
+``scan`` and ``preset``, on one point.  ``preset`` runs its jobs inside one
+:func:`cpgates.pulses.grid_reuse` scope, so jobs that share a constituent grid
+of integrated pulses (all of fig2, and the two gate phases of each fig3
+sequence) integrate it once per command.  Each job still runs its own scan
+and writes the bytes it would write alone.  Everything runs in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ def _add_pulse_args(p: argparse.ArgumentParser) -> None:
                    help="constant detuning times T (default 0)")
     p.add_argument("--chirp-t", type=float, default=None,
                    help="tanh chirp rate times T (sech pulses only)")
+    _add_tolerance_args(p)
+
+
+def _add_tolerance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", type=float, default=1e-12)
     p.add_argument("--max-steps", type=int, default=100_000)
@@ -155,16 +162,17 @@ def _cmd_scan(args) -> int:
     cp = composite_phases(args.family, args.variant)
     seq = make_phase_gate_sequence(cp, args.phase_pi * math.pi)
     template = _build_pulse(args, cp.nominal_per_pulse_area)
-    config = _config(args)
-    if len(axes) == 1:
-        result = scan_1d(axes[0], seq, template, config, workers=args.threads)
-    else:
-        result = scan_2d(axes[0], axes[1], seq, template, config,
-                         workers=args.threads)
+    result = _scan(axes, seq, template, _config(args))
     save_scan_csv(result, args.out, extra_header=_manifest(args))
     _summarize(result)
     print(f"wrote {args.out}")
     return _EXIT_OK
+
+
+def _scan(axes, seq, template, config):
+    if len(axes) == 1:
+        return scan_1d(axes[0], seq, template, config)
+    return scan_2d(axes[0], axes[1], seq, template, config)
 
 
 def _summarize(result) -> None:
@@ -188,16 +196,10 @@ def _cmd_preset(args) -> int:
     jobs = preset_jobs(args.name, samples_scale=args.samples_scale)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                              max_steps=args.max_steps)
+    config = _config(args)
     with grid_reuse():
         for job in jobs:
-            if len(job.axes) == 1:
-                result = scan_1d(job.axes[0], job.seq, job.template, config,
-                                 workers=args.threads)
-            else:
-                result = scan_2d(job.axes[0], job.axes[1], job.seq, job.template,
-                                 config, workers=args.threads)
+            result = _scan(job.axes, job.seq, job.template, config)
             path = out_dir / job.filename
             save_scan_csv(result, path, extra_header=_manifest(args))
             print(f"wrote {path}")
@@ -237,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--spacing", action="append", choices=("linear", "log"),
                         default=None)
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--threads", type=int, default=1,
-                        help="worker cap; never changes output bytes")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_pre = sub.add_parser("preset", help="run a figure-reproduction preset")
@@ -247,10 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--out-dir", default=".")
     p_pre.add_argument("--samples-scale", type=float, default=1.0,
                        help="scale every axis resolution (e.g. 0.1 for quick runs)")
-    p_pre.add_argument("--threads", type=int, default=1)
-    p_pre.add_argument("--rel-tol", type=float, default=1e-10)
-    p_pre.add_argument("--abs-tol", type=float, default=1e-12)
-    p_pre.add_argument("--max-steps", type=int, default=100_000)
+    _add_tolerance_args(p_pre)
     p_pre.set_defaults(func=_cmd_preset)
     return parser
 

@@ -5,9 +5,9 @@ instead of one Python-level solver call per grid point this module advances a
 whole batch in lockstep with numpy, each system carrying its own time, step
 size and accept/reject history.  A system's step sequence depends only on its
 own state, which keeps every result bitwise identical no matter how a grid is
-split into batches or spread over workers.  For the same reason stage sums are
-elementwise multiply-adds in a fixed order, never a matrix product, whose
-blocking could make a row's bits depend on the batch size.
+split into batches.  For the same reason stage sums are elementwise
+multiply-adds in a fixed order, never a matrix product, whose blocking could
+make a row's bits depend on the batch size.
 
 The stepper is DOP853, the explicit Runge-Kutta method of order 8 by Dormand
 and Prince (Hairer, Norsett and Wanner, *Solving Ordinary Differential

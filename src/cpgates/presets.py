@@ -42,60 +42,42 @@ def _scaled(samples: int, scale: float) -> int:
     return max(2, int(round(samples * scale)))
 
 
+def _curves(fig: str, axis: SweepAxis, cases) -> list[PresetJob]:
+    """One job per (tag, CP, template) case at each gate phase, phases outermost."""
+    return [
+        PresetJob(f"{fig}_{tag}_{_phase_tag(phase_pi)}.csv",
+                  make_phase_gate_sequence(cp, phase_pi * math.pi), template, (axis,))
+        for phase_pi in _GATE_PHASES_PI
+        for tag, cp, template in cases
+    ]
+
+
 def _fig1(scale: float) -> list[PresetJob]:
     """Broadband gates vs pulse area: n = 1, 3, 5, 9 at two gate phases."""
-    jobs = []
-    axis = lambda: SweepAxis("pulse_area_fraction", 0.5, 1.5, _scaled(2001, scale))
+    axis = SweepAxis("pulse_area_fraction", 0.5, 1.5, _scaled(2001, scale))
     template = PulseSpec.rectangular(math.pi)
-    for phase_pi in _GATE_PHASES_PI:
-        for n in (1, 3, 5, 9):
-            seq = make_phase_gate_sequence(broadband_phases(n), phase_pi * math.pi)
-            jobs.append(
-                PresetJob(
-                    f"fig1_n{n}_{_phase_tag(phase_pi)}.csv", seq, template, (axis(),)
-                )
-            )
-    return jobs
+    return _curves("fig1", axis, [(f"n{n}", broadband_phases(n), template)
+                                  for n in (1, 3, 5, 9)])
 
 
 def _fig2(scale: float) -> list[PresetJob]:
     """Adiabatic gates (sech/tanh, B = 1/T) vs peak Rabi frequency."""
-    jobs = []
-    axis = lambda: SweepAxis("peak_rabi_times_T", 0.0, 12.0, _scaled(1201, scale))
+    axis = SweepAxis("peak_rabi_times_T", 0.0, 12.0, _scaled(1201, scale))
     template = PulseSpec.sech(peak_rabi=1.0, width=1.0, chirp_rate=1.0)
-    for phase_pi in _GATE_PHASES_PI:
-        for n in (1, 3, 5):
-            seq = make_phase_gate_sequence(broadband_phases(n), phase_pi * math.pi)
-            jobs.append(
-                PresetJob(
-                    f"fig2_n{n}_{_phase_tag(phase_pi)}.csv", seq, template, (axis(),)
-                )
-            )
-    return jobs
+    return _curves("fig2", axis, [(f"n{n}", broadband_phases(n), template)
+                                  for n in (1, 3, 5)])
 
 
 def _fig3(scale: float) -> list[PresetJob]:
     """Detuning-compensated gates with sech pulses vs constant detuning."""
-    jobs = []
-    axis = lambda: SweepAxis("detuning_times_T", -3.0, 3.0, _scaled(1201, scale))
-    cases = [
-        ("n1", broadband_phases(1)),
-        ("n5", detuning_phases("n5")),
-        ("n9", detuning_phases("n9")),
-    ]
-    for phase_pi in _GATE_PHASES_PI:
-        for tag, cp in cases:
-            # sech area is pi*Omega0*T; run each CP at its nominal area
-            template = PulseSpec.sech(
-                peak_rabi=cp.nominal_per_pulse_area / math.pi, width=1.0
-            )
-            seq = make_phase_gate_sequence(cp, phase_pi * math.pi)
-            jobs.append(
-                PresetJob(
-                    f"fig3_{tag}_{_phase_tag(phase_pi)}.csv", seq, template, (axis(),)
-                )
-            )
-    return jobs
+    axis = SweepAxis("detuning_times_T", -3.0, 3.0, _scaled(1201, scale))
+    cps = [("n1", broadband_phases(1)), ("n5", detuning_phases("n5")),
+           ("n9", detuning_phases("n9"))]
+    # sech area is pi*Omega0*T; run each CP at its nominal area
+    return _curves("fig3", axis, [
+        (tag, cp, PulseSpec.sech(cp.nominal_per_pulse_area / math.pi, width=1.0))
+        for tag, cp in cps
+    ])
 
 
 def _fig4(scale: float) -> list[PresetJob]:

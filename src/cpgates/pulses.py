@@ -12,9 +12,10 @@ phase D(t) restarts at each pulse's own window start; a composite sequence
 therefore sees one fixed constituent propagator, phased pulse by pulse.
 
 One route choice serves single pulses (:func:`constituent_propagator`) and
-grids of pulses (:func:`constituent_grid`) alike.  Rectangular pulses with a
-constant detuning, resonant or not, have the closed Rabi form of
-:func:`rect_propagator_grid`; hyperbolic-secant pulses, with a constant or a
+grids of pulses (:func:`constituent_grid`) alike, on the model names of
+:func:`detuning_fields`.  Rectangular pulses with a constant detuning,
+resonant or not, have the closed Rabi form of :func:`rect_propagator_grid`,
+for one pulse as for a grid; hyperbolic-secant pulses, with a constant or a
 tanh-swept detuning, are integrated numerically by
 :func:`integrate_pulse_grid`.  Inside a :func:`grid_reuse` scope, which
 ``cpgates preset`` opens for one command, an integrated grid whose inputs
@@ -27,11 +28,9 @@ dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import contextvars
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -49,6 +48,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "resonant_rect_propagator",
     "rect_propagator_grid",
+    "detuning_fields",
     "integrate_pulse",
     "grid_reuse",
     "constituent_grid",
@@ -61,7 +61,7 @@ __all__ = [
 #: which stays below 1e-8 for Omega0*T <= 20 at w = 25.
 DEFAULT_WINDOW_HALF_WIDTH = 25.0
 
-_CHUNK = 4096  # points per integration chunk; fixed, never the worker count
+_CHUNK = 4096  # points per integration chunk; bounds the integrator's memory
 
 # integrated grids of the open grid_reuse scope, by their exact inputs; None
 # outside any scope, so nothing is kept between commands
@@ -120,7 +120,7 @@ class PulseSpec:
         if not isinstance(self.detuning_model, (ConstantDetuning, TanhChirp)):
             raise ValueError(f"unknown detuning model {self.detuning_model!r}")
         values = (self.peak_rabi, self.duration, self.window_half_width,
-                  self._rate())
+                  detuning_fields(self.detuning_model)[1])
         if not all(math.isfinite(v) for v in values):
             raise ValueError("pulse parameters must be finite")
         if self.peak_rabi < 0:
@@ -129,10 +129,6 @@ class PulseSpec:
             raise ValueError("duration must be nonnegative")
         if self.shape == "sech" and self.window_half_width < 5.0:
             raise ValueError("window_half_width must be at least 5")
-
-    def _rate(self) -> float:
-        model = self.detuning_model
-        return model.detuning if isinstance(model, ConstantDetuning) else model.chirp_rate
 
     def area(self) -> float:
         """Pulse area: Omega0*duration (rectangular) or pi*Omega0*T (sech)."""
@@ -202,7 +198,8 @@ def resonant_rect_propagator(area: float) -> Propagator:
     """Closed-form propagator of a resonant rectangular pulse of given area."""
     if not math.isfinite(area) or area < 0:
         raise ValueError("area must be finite and nonnegative")
-    return Propagator(math.cos(area / 2.0), -1j * math.sin(area / 2.0))
+    a, b = rect_propagator_grid(area, 1.0, 0.0)
+    return Propagator(complex(a), complex(b))
 
 
 def rect_propagator_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.ndarray]:
@@ -231,18 +228,6 @@ def rect_propagator_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.nda
     a = phase * (np.cos(half) + 1j * (detuning / safe_g) * sin_half)
     b = -1j * phase * ((omega0 / safe_g) * sin_half)
     return a, b
-
-
-def _rect_propagator(omega0: float, duration: float, detuning: float) -> Propagator:
-    # Scalar twin of rect_propagator_grid, same operations in the same order:
-    # numpy's per-call overhead would make one pulse cost ~30 us instead of ~3.
-    g = math.hypot(omega0, detuning)
-    safe_g = g if g > 0 else 1.0
-    half = 0.5 * g * duration
-    sin_half = math.sin(half)
-    phase = cmath.exp(-0.5j * detuning * duration)
-    return Propagator(phase * (math.cos(half) + 1j * (detuning / safe_g) * sin_half),
-                      -1j * phase * ((omega0 / safe_g) * sin_half))
 
 
 def transition_probability(u: Propagator) -> float:
@@ -331,8 +316,11 @@ def integrate_pulse_grid(
     return a, b, ok
 
 
-def _model(spec: PulseSpec) -> str:
-    return "constant" if isinstance(spec.detuning_model, ConstantDetuning) else "tanh_chirp"
+def detuning_fields(model: DetuningModel) -> tuple[str, float]:
+    """Grid name and rate of a detuning model: the detuning or the chirp rate."""
+    if isinstance(model, ConstantDetuning):
+        return "constant", model.detuning
+    return "tanh_chirp", model.chirp_rate
 
 
 def _closed_form(shape: str, model: str) -> bool:
@@ -350,12 +338,13 @@ def integrate_pulse(spec: PulseSpec,
         If the step budget is exhausted or the result drifts off the unit
         sphere by more than 10 * rel_tol.
     """
+    model, rate = detuning_fields(spec.detuning_model)
     a, b, ok, steps = integrate_pulse_grid(
         spec.shape,
-        _model(spec),
+        model,
         np.array([spec.peak_rabi]),
         np.array([spec.duration]),
-        np.array([spec._rate()]),
+        np.array([rate]),
         spec.window_half_width,
         config,
         return_steps=True,
@@ -398,16 +387,15 @@ def constituent_grid(
     rate: np.ndarray,
     window_half_width: float,
     config: IntegratorConfig,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagators of a batch of pulses sharing one shape and detuning model.
 
     Rectangular pulses with a constant detuning take the closed form of
     :func:`rect_propagator_grid` over the whole batch at once; every other
     model is integrated by :func:`integrate_pulse_grid` in fixed chunks of
-    4,096 points, spread over up to ``workers`` threads.  Chunk content
-    never depends on the worker count and results are stored by index, so
-    the output bits do not either.
+    4,096 points, which bound the integrator's memory.  Every point has its
+    own step control, so the bits of a point do not depend on the batch it
+    is integrated in.
 
     Arguments are as for :func:`integrate_pulse_grid`; returns flat arrays
     (a, b, ok), where ``ok`` is False at points whose integration missed
@@ -431,23 +419,12 @@ def constituent_grid(
     b = np.empty(m, dtype=np.complex128)
     ok = np.empty(m, dtype=bool)
 
-    errors = np.geterr()  # worker threads start from numpy's default state
-
-    def run(lo: int) -> None:
+    for lo in range(0, m, _CHUNK):
         sel = slice(lo, lo + _CHUNK)
-        with np.errstate(**errors):
-            a[sel], b[sel], ok[sel] = integrate_pulse_grid(
-                shape, model, omega0[sel], duration[sel], rate[sel],
-                window_half_width, config,
-            )
-
-    starts = range(0, m, _CHUNK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
+        a[sel], b[sel], ok[sel] = integrate_pulse_grid(
+            shape, model, omega0[sel], duration[sel], rate[sel],
+            window_half_width, config,
+        )
     if reused is not None:
         for arr in (a, b, ok):
             arr.flags.writeable = False
@@ -460,14 +437,16 @@ def constituent_propagator(spec: PulseSpec,
     """Propagator of one constituent pulse, by the route of :func:`constituent_grid`.
 
     Rectangular pulses with a constant detuning (resonant or not) use the
-    closed form of :func:`rect_propagator_grid`, evaluated with scalar math;
-    sech and chirped sech/tanh pulses are integrated numerically.
+    closed form of :func:`rect_propagator_grid` on the spec's floats; sech
+    and chirped sech/tanh pulses are integrated numerically.
 
     Raises
     ------
     IntegrationError
         If an integrated pulse misses its accuracy contract.
     """
-    if _closed_form(spec.shape, _model(spec)):
-        return _rect_propagator(spec.peak_rabi, spec.duration, spec._rate())
+    model, rate = detuning_fields(spec.detuning_model)
+    if _closed_form(spec.shape, model):
+        a, b = rect_propagator_grid(spec.peak_rabi, spec.duration, rate)
+        return Propagator(complex(a), complex(b))
     return integrate_pulse(spec, config)

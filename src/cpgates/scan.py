@@ -1,13 +1,14 @@
 """Parameter sweeps of composite-gate infidelity, plus diagnostic fits.
 
 A scan instantiates the constituent pulse at every grid point through
-:func:`cpgates.pulses.constituent_grid`, folds the composite sequence
-algebraically over the whole grid at once, and records the Frobenius
-infidelity against the ideal phase gate.  Grid points are pure function
+:func:`cpgates.pulses.constituent_grid`, folds the composite sequence over the
+whole grid at once with :func:`cpgates.su2.fold`, and records
+:func:`cpgates.su2.gate_infidelity` against the ideal phase gate: the same
+kernels a single point query runs.  Grid points are pure function
 evaluations: closed-form grids are computed in one pass, integrated grids in
-fixed-size chunks whose content never depends on the worker count, and
-results are stored by index, so repeated runs and any number of workers
-produce bitwise-identical output.  A point whose integration misses its
+fixed-size chunks with per-point step control, so repeated runs produce
+bitwise-identical output.  A scan holds at most 10,000,000 points in all,
+checked before any grid is built.  A point whose integration misses its
 contract, or whose infidelity is not finite, fails the scan with
 :class:`ScanError`.
 
@@ -27,18 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .pulses import (
-    ConstantDetuning,
     DEFAULT_CONFIG,
     IntegratorConfig,
     PulseSpec,
     constituent_grid,
+    detuning_fields,
 )
 from .sequences import CompositePhases, PhaseGateSequence
+from .su2 import fold, gate_infidelity
 
 __all__ = [
     "SweepAxis",
@@ -61,7 +63,7 @@ PARAMETERS = (
     "duration_fraction",
 )
 
-_MAX_SAMPLES = 10_000_000
+_MAX_SAMPLES = 10_000_000  # per axis, and for the product of all axes
 _NOISE_FLOOR = 1e-13
 
 
@@ -122,35 +124,12 @@ class ScanResult:
             )
 
 
-def _fold_gate(phases: Iterable[float], a: np.ndarray, b: np.ndarray):
-    """Composite-sequence product, elementwise over grids of (a, b)."""
-    ga = np.ones_like(a)
-    gb = np.zeros_like(b)
-    for phase in phases:
-        bk = b * complex(math.cos(phase), math.sin(phase))
-        ga, gb = a * ga - bk * np.conj(gb), a * gb + bk * np.conj(ga)
-    return ga, gb
-
-
-def _infidelity_grid(ga: np.ndarray, gb: np.ndarray, gate_phase: float) -> np.ndarray:
-    # Frobenius distance to diag(e^{i*phi/2}, e^{-i*phi/2}); the two diagonal
-    # and the two off-diagonal entries contribute equal moduli.
-    target = complex(math.cos(gate_phase / 2.0), math.sin(gate_phase / 2.0))
-    return np.sqrt(2.0 * np.abs(ga - target) ** 2 + 2.0 * np.abs(gb) ** 2)
-
-
-def _template_fields(template: PulseSpec):
-    if isinstance(template.detuning_model, ConstantDetuning):
-        return "constant", template.detuning_model.detuning
-    return "tanh_chirp", template.detuning_model.chirp_rate
-
-
 def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], mesh):
     """Per-sample pulse parameter arrays from the template and axis meshes."""
     t0 = template.duration
     if t0 <= 0:
         raise ValueError("scan templates need a positive duration")
-    model, base_rate = _template_fields(template)
+    model, base_rate = detuning_fields(template.detuning_model)
 
     params = [ax.parameter for ax in axes]
     if len(set(params)) != len(params):
@@ -204,7 +183,7 @@ def _check_points(ok: np.ndarray, metric: np.ndarray,
 
 def _metadata(seq: PhaseGateSequence, template: PulseSpec,
               config: IntegratorConfig) -> dict:
-    model, rate = _template_fields(template)
+    model, rate = detuning_fields(template.detuning_model)
     return {
         "family": seq.source.family,
         "variant": seq.source.variant,
@@ -225,8 +204,11 @@ def _run_scan(
     seq: PhaseGateSequence,
     template: PulseSpec,
     config: IntegratorConfig,
-    workers: int,
 ) -> ScanResult:
+    points = math.prod(ax.samples for ax in axes)
+    if points > _MAX_SAMPLES:
+        raise ValueError(f"a scan holds at most {_MAX_SAMPLES} points, "
+                         f"this one {points}")
     grids = [ax.grid() for ax in axes]
     mesh = np.meshgrid(*grids, indexing="ij") if len(grids) > 1 else [grids[0]]
     # overflow and NaN surface as non-finite points, which _check_points
@@ -235,10 +217,9 @@ def _run_scan(
         omega0, duration, rate, model = _apply_axes(template, axes, mesh)
         a, b, ok = constituent_grid(
             template.shape, model, omega0.ravel(), duration.ravel(), rate.ravel(),
-            template.window_half_width, config, workers,
+            template.window_half_width, config,
         )
-        ga, gb = _fold_gate(seq.phases, a, b)
-        values = _infidelity_grid(ga, gb, seq.gate_phase)
+        values = gate_infidelity(*fold(seq.phases, a, b), seq.gate_phase)
     _check_points(ok, values, tuple(mesh))
     return ScanResult(
         axes=axes,
@@ -252,10 +233,9 @@ def scan_1d(
     seq: PhaseGateSequence,
     pulse_template: PulseSpec,
     config: IntegratorConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> ScanResult:
     """Infidelity curve along one swept parameter."""
-    return _run_scan((axis,), seq, pulse_template, config, workers)
+    return _run_scan((axis,), seq, pulse_template, config)
 
 
 def scan_2d(
@@ -264,14 +244,14 @@ def scan_2d(
     seq: PhaseGateSequence,
     pulse_template: PulseSpec,
     config: IntegratorConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> ScanResult:
     """Infidelity map over the Cartesian grid of two distinct parameters.
 
     Values are row-major over (axis_x, axis_y): ``values[i, j]`` belongs to
-    the i-th x sample and j-th y sample.
+    the i-th x sample and j-th y sample.  The product of the two sample
+    counts may not exceed 10,000,000 (ValueError).
     """
-    return _run_scan((axis_x, axis_y), seq, pulse_template, config, workers)
+    return _run_scan((axis_x, axis_y), seq, pulse_template, config)
 
 
 def error_order(
@@ -307,12 +287,7 @@ def error_order(
     lo, hi = eps_range
     if not (0 < lo < hi < 1):
         raise ValueError("eps_range must satisfy 0 < lo < hi < 1")
-    if isinstance(seq, PhaseGateSequence):
-        cp = seq.source
-        phases = seq.phases
-    else:
-        cp = seq
-        phases = seq.phases
+    cp = seq.source if isinstance(seq, PhaseGateSequence) else seq
 
     if perturbation == "area":
         direction = (1.0, 0.0)
@@ -331,16 +306,14 @@ def error_order(
     delta_t = eps * direction[1]
 
     template = PulseSpec.rectangular(cp.nominal_per_pulse_area)
-    omega0 = area  # duration 1
-    duration = np.ones_like(eps)
-    model = "constant"
+    # duration 1, so the peak Rabi frequency equals the area
     a, b, ok = constituent_grid(
-        template.shape, model, omega0, duration, delta_t,
+        template.shape, "constant", area, np.ones_like(eps), delta_t,
         template.window_half_width, config,
     )
-    ga, gb = _fold_gate(phases, a, b)
+    ga, gb = fold(seq.phases, a, b)
     if isinstance(seq, PhaseGateSequence):
-        metric = _infidelity_grid(ga, gb, seq.gate_phase)
+        metric = gate_infidelity(ga, gb, seq.gate_phase)
     else:
         metric = np.abs(ga)
     _check_points(ok, metric, (eps,))

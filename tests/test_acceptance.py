@@ -131,7 +131,7 @@ def test_criterion_6_adiabatic_peak_rabi_window():
     results = {}
     for n in (1, 5):
         job = jobs[f"fig2_n{n}_phase0.5pi.csv"]
-        results[n] = scan_1d(job.axes[0], job.seq, job.template, workers=2)
+        results[n] = scan_1d(job.axes[0], job.seq, job.template)
     grid = results[5].axes[0].grid()
     below = results[5].values < 1e-4
     width, run = 0.0, None
@@ -160,7 +160,7 @@ def test_criterion_7_universal_map_high_fidelity_area():
     fractions = {}
     for tag in ("n1", "U5a"):
         job = jobs[f"fig4_{tag}_phase0.25pi.csv"]
-        res = scan_2d(job.axes[0], job.axes[1], job.seq, job.template, workers=2)
+        res = scan_2d(job.axes[0], job.axes[1], job.seq, job.template)
         fractions[tag] = float((res.values < 0.01).mean())
     ratio = fractions["U5a"] / fractions["n1"]
     ok = ratio >= 2.0

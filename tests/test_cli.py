@@ -136,26 +136,6 @@ class TestScanCommand:
         second = strip_volatile((tmp_path / "b" / "scan.csv").read_text())
         assert first == second
 
-    def test_threads_do_not_change_bytes(self, capsys, tmp_path, monkeypatch):
-        # sech pulses, because only integrated pulses are spread over threads
-        argv = ("scan", "--family", "detuning", "--variant", "n3",
-                "--phase-pi", "0.25", "--pulse", "sech", "--axis", "detuning_times_T",
-                "--range=-1.5:1.5", "--samples", "41", "--out", "d.csv")
-        (tmp_path / "a").mkdir()
-        monkeypatch.chdir(tmp_path / "a")
-        run(capsys, *argv, "--threads", "1")
-        (tmp_path / "b").mkdir()
-        monkeypatch.chdir(tmp_path / "b")
-        run(capsys, *argv, "--threads", "3")
-        a = strip_volatile((tmp_path / "a" / "d.csv").read_text())
-        b = strip_volatile((tmp_path / "b" / "d.csv").read_text())
-        # the threads flag shows up in the manifest; data and scan metadata must match
-        keep = lambda t: "\n".join(
-            ln for ln in t.splitlines()
-            if not ln.startswith(("# command:", "# resolved:"))
-        )
-        assert keep(a) == keep(b)
-
     def test_two_axes_map(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(
@@ -200,13 +180,12 @@ class TestScanCommand:
         assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.filterwarnings("error")
-    def test_overflow_in_worker_threads_fails_without_warnings(self, capsys, tmp_path,
-                                                               monkeypatch):
-        # integrated chunks run in pool threads, which start from numpy's
-        # default error state
+    def test_sech_overflow_fails_without_warnings(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # the integrated route fails the scan as quietly as the closed form
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, *self.BASE[:9], "--range", "0:1e308",
-                           *self.BASE[11:], "--pulse", "sech", "--threads", "2")
+                           *self.BASE[11:], "--pulse", "sech")
         assert code == 3
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
@@ -286,6 +265,14 @@ class TestPresetCommand:
         assert code == 0
         files = sorted(p.name for p in tmp_path.glob("fig4_*.csv"))
         assert files == ["fig4_U5a_phase0.25pi.csv", "fig4_n1_phase0.25pi.csv"]
+
+    def test_too_many_map_points_rejected(self, capsys, tmp_path):
+        # 12,040 x 12,040 samples per fig4 map, over the 10M-point cap
+        code, _, err = run(capsys, "preset", "fig4", "--out-dir", str(tmp_path),
+                           "--samples-scale", "40")
+        assert code == 2
+        assert "at most 10000000 points" in err
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_unknown_preset(self, capsys, tmp_path):
         code, _, err = run(capsys, "preset", "fig9", "--out-dir", str(tmp_path))

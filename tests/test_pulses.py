@@ -337,6 +337,24 @@ class TestConstituentDispatch:
         assert abs(got.a) < 1e-8
 
 
+@pytest.mark.parametrize("model", ["constant", "tanh_chirp"])
+def test_chunked_grid_matches_any_sub_batch(model):
+    # 4,900 points take two 4,096-point chunks; every point has its own step
+    # control, so any batch around it gives the same bits
+    rng = np.random.default_rng(21)
+    omega0 = rng.uniform(0.2, 4.0, 4900)
+    duration = rng.uniform(0.5, 1.5, 4900)
+    rate = rng.uniform(-2.0, 2.0, 4900)
+    loose = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    whole = constituent_grid("sech", model, omega0, duration, rate, 25.0, loose)
+    assert whole[2].all()
+    for sel in (slice(3, 10), slice(4095, 4100), slice(17, 4900)):
+        part = integrate_pulse_grid("sech", model, omega0[sel], duration[sel],
+                                    rate[sel], 25.0, loose)
+        for got, want in zip(whole, part):
+            assert got[sel].tobytes() == want.tobytes()
+
+
 class TestGridReuse:
     RABI = np.linspace(0.5, 4.0, 7)
 

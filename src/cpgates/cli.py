@@ -11,7 +11,8 @@ transcendentals.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 of integrated pulses (all of fig2, and the two gate phases of each fig3
 sequence) integrate it once per command.  Each job still runs its own scan
 and writes the bytes it would write alone.  Everything runs in the calling
-thread.
+thread.  The command line sets no integration tolerances: the pulse layer
+integrates at its own accuracy contract, and a point that misses it exits 3.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .pulses import (
-    IntegratorConfig,
-    IntegrationError,
-    PulseSpec,
-    constituent_propagator,
-    grid_reuse,
-)
+from .pulses import IntegrationError, PulseSpec, constituent_propagator, grid_reuse
 from .presets import preset_descriptions, preset_jobs
 from .scan import (
     ScanError,
@@ -73,13 +68,6 @@ def _add_pulse_args(p: argparse.ArgumentParser) -> None:
                    help="constant detuning times T (default 0)")
     p.add_argument("--chirp-t", type=float, default=None,
                    help="tanh chirp rate times T (sech pulses only)")
-    _add_tolerance_args(p)
-
-
-def _add_tolerance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-steps", type=int, default=100_000)
 
 
 def _build_pulse(args, nominal_area: float) -> PulseSpec:
@@ -99,11 +87,6 @@ def _build_pulse(args, nominal_area: float) -> PulseSpec:
             raise ValueError("give either --detuning-t or --chirp-t, not both")
         return PulseSpec.sech(peak_rabi=peak, width=1.0, chirp_rate=args.chirp_t)
     return PulseSpec.sech(peak_rabi=peak, width=1.0, detuning=args.detuning_t)
-
-
-def _config(args) -> IntegratorConfig:
-    return IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                            max_steps=args.max_steps)
 
 
 def _manifest(args) -> dict:
@@ -131,8 +114,7 @@ def _cmd_sequence(args) -> int:
 def _cmd_fidelity(args) -> int:
     cp = composite_phases(args.family, args.variant)
     seq = make_phase_gate_sequence(cp, args.phase_pi * math.pi)
-    pulse = constituent_propagator(_build_pulse(args, cp.nominal_per_pulse_area),
-                                   _config(args))
+    pulse = constituent_propagator(_build_pulse(args, cp.nominal_per_pulse_area))
     value = infidelity(gate_propagator(seq, pulse), TargetGate(seq.gate_phase))
     print(f"{value:.11e}")
     return _EXIT_OK
@@ -162,17 +144,17 @@ def _cmd_scan(args) -> int:
     cp = composite_phases(args.family, args.variant)
     seq = make_phase_gate_sequence(cp, args.phase_pi * math.pi)
     template = _build_pulse(args, cp.nominal_per_pulse_area)
-    result = _scan(axes, seq, template, _config(args))
+    result = _scan(axes, seq, template)
     save_scan_csv(result, args.out, extra_header=_manifest(args))
     _summarize(result)
     print(f"wrote {args.out}")
     return _EXIT_OK
 
 
-def _scan(axes, seq, template, config):
+def _scan(axes, seq, template):
     if len(axes) == 1:
-        return scan_1d(axes[0], seq, template, config)
-    return scan_2d(axes[0], axes[1], seq, template, config)
+        return scan_1d(axes[0], seq, template)
+    return scan_2d(axes[0], axes[1], seq, template)
 
 
 def _summarize(result) -> None:
@@ -196,10 +178,9 @@ def _cmd_preset(args) -> int:
     jobs = preset_jobs(args.name, samples_scale=args.samples_scale)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _config(args)
     with grid_reuse():
         for job in jobs:
-            result = _scan(job.axes, job.seq, job.template, config)
+            result = _scan(job.axes, job.seq, job.template)
             path = out_dir / job.filename
             save_scan_csv(result, path, extra_header=_manifest(args))
             print(f"wrote {path}")
@@ -247,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--out-dir", default=".")
     p_pre.add_argument("--samples-scale", type=float, default=1.0,
                        help="scale every axis resolution (e.g. 0.1 for quick runs)")
-    _add_tolerance_args(p_pre)
     p_pre.set_defaults(func=_cmd_preset)
     return parser
 

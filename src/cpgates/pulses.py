@@ -22,6 +22,11 @@ tanh-swept detuning, are integrated numerically by
 repeat exactly is integrated once and handed out again; nothing is kept once
 the scope ends.
 
+Both routes integrate at :data:`DEFAULT_CONFIG`, read at call time: a failed
+single pulse raises :class:`IntegrationError`, a failed grid point comes back
+as NaN.  Only :func:`integrate_pulse` and :func:`integrate_pulse_grid` take an
+:class:`IntegratorConfig`.
+
 Times are in arbitrary units; all physically meaningful inputs are the
 dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
 """
@@ -364,13 +369,13 @@ def integrate_pulse(spec: PulseSpec,
 def grid_reuse() -> Iterator[None]:
     """Scope inside which :func:`constituent_grid` integrates each grid once.
 
-    A repeated call with the same shape, detuning model, window,
-    :class:`IntegratorConfig` and the same bytes of ``omega0``, ``duration``
-    and ``rate`` returns the arrays of the first call, marked read-only:
-    the bits that integrating again would give.  Closed-form grids are
-    recomputed, which costs about as much as a lookup.  Everything kept is
-    dropped when the scope ends; ``cpgates preset`` opens one per command,
-    so the jobs of a preset that share a constituent grid integrate it once.
+    A repeated call with the same shape, detuning model, window and the
+    same bytes of ``omega0``, ``duration`` and ``rate`` returns the arrays
+    of the first call, marked read-only: the bits that integrating again
+    would give.  Closed-form grids are recomputed, which costs about as much
+    as a lookup.  Everything kept is dropped when the scope ends;
+    ``cpgates preset`` opens one per command, so the jobs of a preset that
+    share a constituent grid integrate it once.
     """
     token = _reused_grids.set({})
     try:
@@ -386,30 +391,27 @@ def constituent_grid(
     duration: np.ndarray,
     rate: np.ndarray,
     window_half_width: float,
-    config: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Propagators of a batch of pulses sharing one shape and detuning model.
 
     Rectangular pulses with a constant detuning take the closed form of
     :func:`rect_propagator_grid` over the whole batch at once; every other
-    model is integrated by :func:`integrate_pulse_grid` in fixed chunks of
-    4,096 points, which bound the integrator's memory.  Every point has its
-    own step control, so the bits of a point do not depend on the batch it
-    is integrated in.
+    model is integrated at :data:`DEFAULT_CONFIG` by
+    :func:`integrate_pulse_grid` in fixed chunks of 4,096 points, which bound
+    the integrator's memory.  Every point has its own step control, so the
+    bits of a point do not depend on the batch it is integrated in.
 
-    Arguments are as for :func:`integrate_pulse_grid`; returns flat arrays
-    (a, b, ok), where ``ok`` is False at points whose integration missed
-    its contract.  Closed-form points are always ``ok``.  Inside a
-    :func:`grid_reuse` scope an integrated grid seen before is not
-    integrated again.
+    Arguments are as for :func:`integrate_pulse_grid`, without the config;
+    returns flat arrays (a, b).  A point whose integration missed its
+    contract is NaN in both.  Inside a :func:`grid_reuse` scope an
+    integrated grid seen before is not integrated again.
     """
     if _closed_form(shape, model):
-        a, b = rect_propagator_grid(omega0, duration, rate)
-        return a, b, np.ones(a.shape, dtype=bool)
+        return rect_propagator_grid(omega0, duration, rate)
 
     reused = _reused_grids.get()
     if reused is not None:
-        key = (shape, model, window_half_width, config,
+        key = (shape, model, window_half_width,
                *(np.asarray(v, float).tobytes() for v in (omega0, duration, rate)))
         if key in reused:
             return reused[key]
@@ -417,28 +419,28 @@ def constituent_grid(
     m = omega0.size
     a = np.empty(m, dtype=np.complex128)
     b = np.empty(m, dtype=np.complex128)
-    ok = np.empty(m, dtype=bool)
 
     for lo in range(0, m, _CHUNK):
         sel = slice(lo, lo + _CHUNK)
-        a[sel], b[sel], ok[sel] = integrate_pulse_grid(
+        chunk_a, chunk_b, ok = integrate_pulse_grid(
             shape, model, omega0[sel], duration[sel], rate[sel],
-            window_half_width, config,
+            window_half_width, DEFAULT_CONFIG,
         )
+        a[sel] = np.where(ok, chunk_a, np.nan)
+        b[sel] = np.where(ok, chunk_b, np.nan)
     if reused is not None:
-        for arr in (a, b, ok):
+        for arr in (a, b):
             arr.flags.writeable = False
-        reused[key] = a, b, ok
-    return a, b, ok
+        reused[key] = a, b
+    return a, b
 
 
-def constituent_propagator(spec: PulseSpec,
-                           config: IntegratorConfig = DEFAULT_CONFIG) -> Propagator:
+def constituent_propagator(spec: PulseSpec) -> Propagator:
     """Propagator of one constituent pulse, by the route of :func:`constituent_grid`.
 
     Rectangular pulses with a constant detuning (resonant or not) use the
     closed form of :func:`rect_propagator_grid` on the spec's floats; sech
-    and chirped sech/tanh pulses are integrated numerically.
+    and chirped sech/tanh pulses are integrated at :data:`DEFAULT_CONFIG`.
 
     Raises
     ------
@@ -449,4 +451,4 @@ def constituent_propagator(spec: PulseSpec,
     if _closed_form(spec.shape, model):
         a, b = rect_propagator_grid(spec.peak_rabi, spec.duration, rate)
         return Propagator(complex(a), complex(b))
-    return integrate_pulse(spec, config)
+    return integrate_pulse(spec, DEFAULT_CONFIG)

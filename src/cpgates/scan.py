@@ -8,9 +8,10 @@ kernels a single point query runs.  Grid points are pure function
 evaluations: closed-form grids are computed in one pass, integrated grids in
 fixed-size chunks with per-point step control, so repeated runs produce
 bitwise-identical output.  A scan holds at most 10,000,000 points in all,
-checked before any grid is built.  A point whose integration misses its
-contract, or whose infidelity is not finite, fails the scan with
-:class:`ScanError`.
+checked before any grid is built.  How accurately pulses are integrated is
+the pulse layer's business: a point whose integration missed its contract
+arrives as NaN, so a scan fails with :class:`ScanError` exactly when some
+infidelity is not finite, and the error carries every failing coordinate.
 
 Swept parameters are dimensionless and always refer to the template pulse's
 duration T0:
@@ -32,13 +33,7 @@ from typing import IO
 
 import numpy as np
 
-from .pulses import (
-    DEFAULT_CONFIG,
-    IntegratorConfig,
-    PulseSpec,
-    constituent_grid,
-    detuning_fields,
-)
+from .pulses import PulseSpec, constituent_grid, detuning_fields
 from .sequences import CompositePhases, PhaseGateSequence
 from .su2 import fold, gate_infidelity
 
@@ -68,9 +63,9 @@ _NOISE_FLOOR = 1e-13
 
 
 class ScanError(RuntimeError):
-    """Grid points failed; ``coordinates`` is the first failing point."""
+    """Grid points failed; ``coordinates`` is a (k, n_axes) array of all k."""
 
-    def __init__(self, message: str, coordinates: tuple | None = None):
+    def __init__(self, message: str, coordinates: np.ndarray):
         super().__init__(message)
         self.coordinates = coordinates
 
@@ -165,24 +160,22 @@ def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], mesh):
     return omega0, duration, rate, model
 
 
-def _check_points(ok: np.ndarray, metric: np.ndarray,
-                  coords: tuple[np.ndarray, ...]) -> None:
-    """Raise ScanError if any point missed its integration contract or is not finite."""
-    bad = np.nonzero(~(ok & np.isfinite(metric)))[0]
-    if bad.size == 0:
+def _check_points(metric: np.ndarray, coords: tuple[np.ndarray, ...]) -> None:
+    """Raise ScanError carrying every point whose metric is not finite."""
+    bad = ~np.isfinite(metric)
+    if not bad.any():
         return
-    where = [tuple(float(c.ravel()[i]) for c in coords) for i in bad[:5]]
-    shown = ", ".join(map(str, where))
+    where = np.stack([c.ravel()[bad] for c in coords], axis=1)
+    shown = ", ".join(str(tuple(map(float, row))) for row in where[:5])
     raise ScanError(
-        f"{bad.size} grid point(s) failed (pulse integration missed its "
+        f"{len(where)} grid point(s) failed (pulse integration missed its "
         f"contract or the infidelity is not finite); first at coordinates "
         f"{shown}",
-        coordinates=where[0],
+        coordinates=where,
     )
 
 
-def _metadata(seq: PhaseGateSequence, template: PulseSpec,
-              config: IntegratorConfig) -> dict:
+def _metadata(seq: PhaseGateSequence, template: PulseSpec) -> dict:
     model, rate = detuning_fields(template.detuning_model)
     return {
         "family": seq.source.family,
@@ -194,8 +187,6 @@ def _metadata(seq: PhaseGateSequence, template: PulseSpec,
         "duration": template.duration,
         "detuning_rate": rate,
         "window_half_width": template.window_half_width,
-        "rel_tol": config.rel_tol,
-        "abs_tol": config.abs_tol,
     }
 
 
@@ -203,7 +194,6 @@ def _run_scan(
     axes: tuple[SweepAxis, ...],
     seq: PhaseGateSequence,
     template: PulseSpec,
-    config: IntegratorConfig,
 ) -> ScanResult:
     points = math.prod(ax.samples for ax in axes)
     if points > _MAX_SAMPLES:
@@ -215,16 +205,16 @@ def _run_scan(
     # reports as a ScanError, so numpy need not warn about them on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega0, duration, rate, model = _apply_axes(template, axes, mesh)
-        a, b, ok = constituent_grid(
+        a, b = constituent_grid(
             template.shape, model, omega0.ravel(), duration.ravel(), rate.ravel(),
-            template.window_half_width, config,
+            template.window_half_width,
         )
         values = gate_infidelity(*fold(seq.phases, a, b), seq.gate_phase)
-    _check_points(ok, values, tuple(mesh))
+    _check_points(values, tuple(mesh))
     return ScanResult(
         axes=axes,
         values=values.reshape(omega0.shape),
-        metadata=_metadata(seq, template, config),
+        metadata=_metadata(seq, template),
     )
 
 
@@ -232,10 +222,9 @@ def scan_1d(
     axis: SweepAxis,
     seq: PhaseGateSequence,
     pulse_template: PulseSpec,
-    config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> ScanResult:
     """Infidelity curve along one swept parameter."""
-    return _run_scan((axis,), seq, pulse_template, config)
+    return _run_scan((axis,), seq, pulse_template)
 
 
 def scan_2d(
@@ -243,7 +232,6 @@ def scan_2d(
     axis_y: SweepAxis,
     seq: PhaseGateSequence,
     pulse_template: PulseSpec,
-    config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> ScanResult:
     """Infidelity map over the Cartesian grid of two distinct parameters.
 
@@ -251,7 +239,7 @@ def scan_2d(
     the i-th x sample and j-th y sample.  The product of the two sample
     counts may not exceed 10,000,000 (ValueError).
     """
-    return _run_scan((axis_x, axis_y), seq, pulse_template, config)
+    return _run_scan((axis_x, axis_y), seq, pulse_template)
 
 
 def error_order(
@@ -260,7 +248,6 @@ def error_order(
     eps_range: tuple[float, float] = (1e-3, 1e-2),
     samples: int = 20,
     seed: int | None = None,
-    config: IntegratorConfig = DEFAULT_CONFIG,
 ) -> float:
     """Fitted error-scaling exponent of a gate or of its composite pulse.
 
@@ -307,16 +294,16 @@ def error_order(
 
     template = PulseSpec.rectangular(cp.nominal_per_pulse_area)
     # duration 1, so the peak Rabi frequency equals the area
-    a, b, ok = constituent_grid(
+    a, b = constituent_grid(
         template.shape, "constant", area, np.ones_like(eps), delta_t,
-        template.window_half_width, config,
+        template.window_half_width,
     )
     ga, gb = fold(seq.phases, a, b)
     if isinstance(seq, PhaseGateSequence):
         metric = gate_infidelity(ga, gb, seq.gate_phase)
     else:
         metric = np.abs(ga)
-    _check_points(ok, metric, (eps,))
+    _check_points(metric, (eps,))
 
     usable = metric > _NOISE_FLOOR
     if usable.sum() < 2:
@@ -402,37 +389,38 @@ def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) ->
 
 
 def read_scan_csv(path) -> ScanResult:
-    """Parse a file written by :func:`write_scan_csv`."""
+    """Parse a file written by :func:`write_scan_csv`.
+
+    The '#' header ends at the first data row; numpy parses the rows.
+    """
     metadata: dict = {}
     axes: list[SweepAxis] = []
-    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("axis"):
-                    _, spec = body.split(":", 1)
-                    fields = dict(item.split("=") for item in spec.split())
-                    axes.append(
-                        SweepAxis(
-                            parameter=fields["parameter"],
-                            start=float(fields["start"]),
-                            stop=float(fields["stop"]),
-                            samples=int(fields["samples"]),
-                            spacing=fields["spacing"],
-                        )
+            if not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if body.startswith("axis"):
+                _, spec = body.split(":", 1)
+                fields = dict(item.split("=") for item in spec.split())
+                axes.append(
+                    SweepAxis(
+                        parameter=fields["parameter"],
+                        start=float(fields["start"]),
+                        stop=float(fields["stop"]),
+                        samples=int(fields["samples"]),
+                        spacing=fields["spacing"],
                     )
-                elif ":" in body:
-                    key, value = body.split(":", 1)
-                    metadata[key.strip()] = value.strip()
-                continue
-            rows.append([float(part) for part in line.split(",")])
+                )
+            elif ":" in body:
+                key, value = body.split(":", 1)
+                metadata[key.strip()] = value.strip()
     if not axes:
         raise ValueError(f"{path} carries no axis header")
-    values = np.array([row[-1] for row in rows])
+    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.samples for ax in axes)
-    return ScanResult(axes=tuple(axes), values=values.reshape(shape),
-                      metadata=metadata)
+    values = np.ascontiguousarray(rows[:, -1]).reshape(shape)
+    return ScanResult(axes=tuple(axes), values=values, metadata=metadata)

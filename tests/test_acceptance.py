@@ -26,7 +26,13 @@ from cpgates.pulses import (
     transition_probability,
 )
 from cpgates.presets import preset_jobs
-from cpgates.scan import error_order, high_fidelity_bandwidth, scan_1d, scan_2d
+from cpgates.scan import (
+    SweepAxis,
+    error_order,
+    high_fidelity_bandwidth,
+    scan_1d,
+    scan_2d,
+)
 from cpgates.sequences import (
     broadband_phases,
     detuning_phases,
@@ -152,6 +158,27 @@ def test_criterion_6_adiabatic_peak_rabi_window():
         "left red on purpose: the chirped composite gate model cannot meet "
         f"this window width (measured {width:.2f}); see README"
     )
+
+
+def test_adiabatic_window_opens_at_twice_the_chirp_rate():
+    """The README's claim beside criterion 6, at chirp rate B = 2/T.
+
+    There the n=5 gate holds F < 1e-4 over a contiguous peak-Rabi window of
+    width at least 2, inside which the single pair (n=1) exceeds 1e-4.
+    """
+    axis = SweepAxis("peak_rabi_times_T", 0.0, 12.0, 601)
+    template = PulseSpec.sech(peak_rabi=1.0, width=1.0, chirp_rate=2.0)
+    n5, n1 = (
+        scan_1d(axis, make_phase_gate_sequence(broadband_phases(n), PI / 2),
+                template).values
+        for n in (5, 1)
+    )
+    idx = np.nonzero(n5 < 1e-4)[0]
+    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
+    best = max(runs, key=lambda r: r[-1] - r[0])
+    grid = axis.grid()
+    assert grid[best[-1]] - grid[best[0]] >= 2.0
+    assert (n1[best] > 1e-4).any()
 
 
 def test_criterion_7_universal_map_high_fidelity_area():

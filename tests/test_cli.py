@@ -94,13 +94,14 @@ class TestFidelityCommand:
         want = infidelity(gate_propagator(seq, pulse), TargetGate(PI / 2))
         assert float(out.strip()) == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.filterwarnings("error")
     def test_numerical_failure_exit_code(self, capsys):
+        # a Rabi frequency so large that the step size stalls at once
         code, _, err = run(capsys, "fidelity", "--family", "broadband",
                            "--variant", "n3", "--phase-pi", "0.5",
-                           "--pulse", "sech", "--rabi-t", "5.0",
-                           "--chirp-t", "1.0", "--max-steps", "5")
+                           "--pulse", "sech", "--rabi-t", "1e30")
         assert code == 3
-        assert "numerical failure" in err
+        assert err.startswith("numerical failure: pulse integration failed")
 
     def test_chirp_on_rect_rejected(self, capsys):
         code, _, err = run(capsys, "fidelity", "--family", "broadband",
@@ -189,6 +190,13 @@ class TestScanCommand:
         assert code == 3
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-steps"])
+    def test_tolerance_flags_are_unknown(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.BASE, flag, "1e-8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from cpgates import pulses
 from cpgates.pulses import IntegratorConfig, PulseSpec
 from cpgates.scan import (
     ScanError,
@@ -111,7 +112,8 @@ class TestScan1D:
         assert md["variant"] == "n3"
         assert md["gate_phase_pi"] == pytest.approx(0.5)
         assert md["pulse_shape"] == "rectangular"
-        assert md["rel_tol"] == 1e-10
+        assert md["detuning_model"] == "constant"
+        assert "rel_tol" not in md  # tolerances belong to the pulse layer
 
     def test_deterministic_repeat(self):
         axis = SweepAxis("detuning_times_T", -1.0, 1.0, 31)
@@ -121,21 +123,38 @@ class TestScan1D:
         r2 = scan_1d(axis, seq, t)
         assert np.array_equal(r1.values, r2.values)
 
-    def test_integration_failure_carries_coordinates(self):
+    def test_integration_failure_carries_coordinates(self, monkeypatch):
+        # four steps cannot cross a sech window, so every point fails
+        monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
         axis = SweepAxis("peak_rabi_times_T", 0.5, 8.0, 7)
         t = PulseSpec.sech(1.0, chirp_rate=1.0)
-        starved = IntegratorConfig(max_steps=4)
         with pytest.raises(ScanError) as err:
-            scan_1d(axis, bb_gate(3), t, config=starved)
-        assert err.value.coordinates is not None
-        assert 0.5 <= err.value.coordinates[0] <= 8.0
+            scan_1d(axis, bb_gate(3), t)
+        assert np.array_equal(err.value.coordinates, axis.grid()[:, None])
+        message = str(err.value)
+        assert message.startswith("7 grid point(s) failed")
+        assert "(0.5,), (1.75,), (3.0,), (4.25,), (5.5,)" in message
+        assert "6.75" not in message  # the message shows the first five
+
+    def test_every_failing_map_point_comes_back(self, monkeypatch):
+        # 2 x 6 failing points of a sech map, listed row-major as (x, y)
+        monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
+        ax = SweepAxis("duration_fraction", 0.5, 1.5, 2)
+        ay = SweepAxis("detuning_times_T", -1.0, 1.0, 6)
+        with pytest.raises(ScanError) as err:
+            scan_2d(ax, ay, bb_gate(1), PulseSpec.sech(1.0))
+        coords = err.value.coordinates
+        assert coords.shape == (12, 2)
+        xs, ys = np.meshgrid(ax.grid(), ay.grid(), indexing="ij")
+        assert np.array_equal(coords, np.stack([xs.ravel(), ys.ravel()], axis=1))
+        assert str(err.value).startswith("12 grid point(s) failed")
 
     def test_non_finite_infidelity_is_a_scan_error(self):
         # finite axis bounds whose Rabi frequency overflows to inf
         axis = SweepAxis("pulse_area_fraction", 0.0, 1e308, 5)
         with pytest.raises(ScanError) as err:
             scan_1d(axis, bb_gate(3), PulseSpec.rectangular(PI))
-        assert err.value.coordinates == (7.5e307,)
+        assert np.array_equal(err.value.coordinates, [[7.5e307], [1e308]])
         assert str(err.value).startswith("2 grid point(s) failed")
         assert "(7.5e+307,), (1e+308,)" in str(err.value)
 
@@ -298,7 +317,10 @@ class TestCsvContract:
         save_scan_csv(res, path)
         back = read_scan_csv(path)
         assert back.axes == res.axes
-        # rows carry 12 significant digits
+        # rows carry 12 significant digits, and read back as float() reads them
+        rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        want = np.array([float(ln.split(",")[-1]) for ln in rows])
+        assert back.values.tobytes() == want.tobytes()
         np.testing.assert_allclose(back.values, res.values, rtol=1e-11, atol=0)
         assert back.metadata["family"] == "broadband"
 

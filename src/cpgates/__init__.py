@@ -23,12 +23,10 @@ from .su2 import (
     with_phase,
 )
 from .pulses import (
-    ConstantDetuning,
     DEFAULT_CONFIG,
     IntegrationError,
     IntegratorConfig,
     PulseSpec,
-    TanhChirp,
     constituent_propagator,
     integrate_pulse,
     resonant_rect_propagator,

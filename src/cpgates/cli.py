@@ -13,6 +13,7 @@ sequence) integrate it once per command.  Each job still runs its own scan
 and writes the bytes it would write alone.  Everything runs in the calling
 thread.  The command line sets no integration tolerances: the pulse layer
 integrates at its own accuracy contract, and a point that misses it exits 3.
+A pulse flag that the chosen pulse would ignore is a usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .pulses import IntegrationError, PulseSpec, constituent_propagator, grid_reuse
+from .pulses import (
+    _AREA_PER_RABI_T,
+    IntegrationError,
+    PulseSpec,
+    constituent_propagator,
+    grid_reuse,
+)
 from .presets import preset_descriptions, preset_jobs
 from .scan import (
     ScanError,
@@ -71,22 +78,23 @@ def _add_pulse_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_pulse(args, nominal_area: float) -> PulseSpec:
-    if args.pulse == "rect":
-        if args.chirp_t is not None:
-            raise ValueError("--chirp-t applies to sech pulses only")
-        area = nominal_area if args.area_pi is None else args.area_pi * math.pi
-        return PulseSpec.rectangular(area, duration=1.0, detuning=args.detuning_t)
+    shape = "rectangular" if args.pulse == "rect" else "sech"
+    if shape == "rectangular":
+        for flag, value in (("--rabi-t", args.rabi_t), ("--chirp-t", args.chirp_t)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to sech pulses only")
+    elif args.rabi_t is not None and args.area_pi is not None:
+        raise ValueError("give either --rabi-t or --area-pi, not both")
+    # T = 1, so the peak Rabi frequency is Omega0*T
     if args.rabi_t is not None:
         peak = args.rabi_t
     elif args.area_pi is not None:
-        peak = args.area_pi  # sech area = pi * Omega0 * T with T = 1
+        peak = args.area_pi * (math.pi / _AREA_PER_RABI_T[shape])
     else:
-        peak = nominal_area / math.pi
-    if args.chirp_t is not None:
-        if args.detuning_t:
-            raise ValueError("give either --detuning-t or --chirp-t, not both")
-        return PulseSpec.sech(peak_rabi=peak, width=1.0, chirp_rate=args.chirp_t)
-    return PulseSpec.sech(peak_rabi=peak, width=1.0, detuning=args.detuning_t)
+        peak = nominal_area / _AREA_PER_RABI_T[shape]
+    if shape == "sech":
+        return PulseSpec.sech(peak, 1.0, detuning=args.detuning_t, chirp_rate=args.chirp_t)
+    return PulseSpec(shape, peak, 1.0, rate=args.detuning_t)
 
 
 def _manifest(args) -> dict:

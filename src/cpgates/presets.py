@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pulses import PulseSpec
+from .pulses import _AREA_PER_RABI_T, PulseSpec
 from .scan import SweepAxis
 from .sequences import (
     PhaseGateSequence,
@@ -39,7 +39,11 @@ def _phase_tag(phase_pi: float) -> str:
 
 
 def _scaled(samples: int, scale: float) -> int:
-    return max(2, int(round(samples * scale)))
+    scaled = samples * scale
+    if not 0 < scaled < math.inf:  # also a finite scale whose count overflows
+        raise ValueError(f"samples scale must be positive and give a finite "
+                         f"sample count, got {scale!r}")
+    return max(2, int(round(scaled)))
 
 
 def _curves(fig: str, axis: SweepAxis, cases) -> list[PresetJob]:
@@ -73,9 +77,10 @@ def _fig3(scale: float) -> list[PresetJob]:
     axis = SweepAxis("detuning_times_T", -3.0, 3.0, _scaled(1201, scale))
     cps = [("n1", broadband_phases(1)), ("n5", detuning_phases("n5")),
            ("n9", detuning_phases("n9"))]
-    # sech area is pi*Omega0*T; run each CP at its nominal area
+    # run each CP at its nominal area
     return _curves("fig3", axis, [
-        (tag, cp, PulseSpec.sech(cp.nominal_per_pulse_area / math.pi, width=1.0))
+        (tag, cp, PulseSpec.sech(cp.nominal_per_pulse_area / _AREA_PER_RABI_T["sech"],
+                                 width=1.0))
         for tag, cp in cps
     ])
 
@@ -110,8 +115,6 @@ def preset_jobs(name: str, samples_scale: float = 1.0) -> list[PresetJob]:
         raise ValueError(
             f"unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}"
         ) from None
-    if samples_scale <= 0:
-        raise ValueError("samples scale must be positive")
     return builder(samples_scale)
 
 

@@ -11,20 +11,22 @@ so every propagator has unit determinant and the field-phase map of
 phase D(t) restarts at each pulse's own window start; a composite sequence
 therefore sees one fixed constituent propagator, phased pulse by pulse.
 
-One route choice serves single pulses (:func:`constituent_propagator`) and
-grids of pulses (:func:`constituent_grid`) alike, on the model names of
-:func:`detuning_fields`.  Rectangular pulses with a constant detuning,
-resonant or not, have the closed Rabi form of :func:`rect_propagator_grid`,
-for one pulse as for a grid; hyperbolic-secant pulses, with a constant or a
-tanh-swept detuning, are integrated numerically by
-:func:`integrate_pulse_grid`.  Inside a :func:`grid_reuse` scope, which
-``cpgates preset`` opens for one command, an integrated grid whose inputs
-repeat exactly is integrated once and handed out again; nothing is kept once
-the scope ends.
+A pulse is named by the same strings everywhere: a shape ("rectangular" or
+"sech") and a detuning model ("constant" or "tanh_chirp") with its rate.
+:func:`constituent_grid` is the one entry point and the one route choice;
+:func:`constituent_propagator` calls it at a single point.  Rectangular
+pulses with a constant detuning, resonant or not, take the closed Rabi form
+of :func:`rect_propagator_grid`, on scalars as on arrays; every other model
+is integrated numerically by :func:`integrate_pulse_grid`, sech pulses over
+the fixed window of :data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side.
+Inside a :func:`grid_reuse` scope, which ``cpgates preset`` opens for one
+command, an integrated grid whose inputs repeat exactly is integrated once
+and handed out again; nothing is kept once the scope ends.
 
-Both routes integrate at :data:`DEFAULT_CONFIG`, read at call time: a failed
-single pulse raises :class:`IntegrationError`, a failed grid point comes back
-as NaN.  Only :func:`integrate_pulse` and :func:`integrate_pulse_grid` take an
+Integration runs at :data:`DEFAULT_CONFIG` and over that window, both read
+at call time: a failed grid point comes back as NaN, and a single pulse
+whose propagator is not finite raises :class:`IntegrationError`.  Only
+:func:`integrate_pulse` and :func:`integrate_pulse_grid` take an
 :class:`IntegratorConfig`.
 
 Times are in arbitrary units; all physically meaningful inputs are the
@@ -33,11 +35,12 @@ dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -45,15 +48,12 @@ from . import integrator
 from .su2 import Propagator
 
 __all__ = [
-    "ConstantDetuning",
-    "TanhChirp",
     "PulseSpec",
     "IntegratorConfig",
     "IntegrationError",
     "DEFAULT_CONFIG",
     "resonant_rect_propagator",
     "rect_propagator_grid",
-    "detuning_fields",
     "integrate_pulse",
     "grid_reuse",
     "constituent_grid",
@@ -61,10 +61,13 @@ __all__ = [
     "transition_probability",
 ]
 
-#: Default truncation of the sech window, in units of the width parameter T.
+#: Truncation of the sech window, in units of the width parameter T.
 #: The neglected tail changes the propagator by about 2*Omega0*T*exp(-w),
 #: which stays below 1e-8 for Omega0*T <= 20 at w = 25.
 DEFAULT_WINDOW_HALF_WIDTH = 25.0
+
+# the area convention: pulse area per unit Omega0*T, by envelope shape
+_AREA_PER_RABI_T = {"rectangular": 1.0, "sech": math.pi}
 
 _CHUNK = 4096  # points per integration chunk; bounds the integrator's memory
 
@@ -72,23 +75,6 @@ _CHUNK = 4096  # points per integration chunk; bounds the integrator's memory
 # outside any scope, so nothing is kept between commands
 _reused_grids: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "cpgates_reused_grids", default=None)
-
-
-@dataclass(frozen=True)
-class ConstantDetuning:
-    """Constant detuning Delta (rad/time) between field and transition."""
-
-    detuning: float = 0.0
-
-
-@dataclass(frozen=True)
-class TanhChirp:
-    """Detuning swept as Delta(t) = chirp_rate * tanh(t/T) through resonance."""
-
-    chirp_rate: float
-
-
-DetuningModel = Union[ConstantDetuning, TanhChirp]
 
 
 @dataclass(frozen=True)
@@ -101,45 +87,41 @@ class PulseSpec:
         Envelope model.  Rectangular pulses run over [0, duration] at
         constant peak_rabi; sech pulses are Omega(t) = peak_rabi * sech(t/T)
         with T = duration (the width parameter, not the full length),
-        integrated over [-w*T, +w*T] with w = window_half_width.
+        integrated over [-w*T, +w*T] with w = DEFAULT_WINDOW_HALF_WIDTH.
     peak_rabi : float
         Peak Rabi frequency Omega_0 >= 0, rad/time.
     duration : float
         Pulse length (rectangular) or sech width parameter, >= 0.  A zero
         duration degenerates to the identity propagator, which parameter
         sweeps starting at zero duration rely on.
-    detuning_model : ConstantDetuning or TanhChirp
-    window_half_width : float
-        Sech truncation in units of T, >= 5.  Ignored for rectangular pulses.
+    model : {"constant", "tanh_chirp"}
+        Detuning model: a constant detuning Delta = rate, or a detuning
+        swept through resonance as Delta(t) = rate * tanh(t/T).
+    rate : float
+        The constant detuning or the chirp rate, rad/time.
     """
 
     shape: str
     peak_rabi: float
     duration: float
-    detuning_model: DetuningModel = field(default_factory=ConstantDetuning)
-    window_half_width: float = DEFAULT_WINDOW_HALF_WIDTH
+    model: str = "constant"
+    rate: float = 0.0
 
     def __post_init__(self):
-        if self.shape not in ("rectangular", "sech"):
+        if self.shape not in _AREA_PER_RABI_T:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if not isinstance(self.detuning_model, (ConstantDetuning, TanhChirp)):
-            raise ValueError(f"unknown detuning model {self.detuning_model!r}")
-        values = (self.peak_rabi, self.duration, self.window_half_width,
-                  detuning_fields(self.detuning_model)[1])
-        if not all(math.isfinite(v) for v in values):
+        if self.model not in ("constant", "tanh_chirp"):
+            raise ValueError(f"unknown detuning model {self.model!r}")
+        if not all(math.isfinite(v) for v in (self.peak_rabi, self.duration, self.rate)):
             raise ValueError("pulse parameters must be finite")
         if self.peak_rabi < 0:
             raise ValueError("peak_rabi must be nonnegative")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.shape == "sech" and self.window_half_width < 5.0:
-            raise ValueError("window_half_width must be at least 5")
 
     def area(self) -> float:
         """Pulse area: Omega0*duration (rectangular) or pi*Omega0*T (sech)."""
-        if self.shape == "rectangular":
-            return self.peak_rabi * self.duration
-        return math.pi * self.peak_rabi * self.duration
+        return _AREA_PER_RABI_T[self.shape] * self.peak_rabi * self.duration
 
     @classmethod
     def rectangular(cls, area: float, duration: float = 1.0,
@@ -147,22 +129,17 @@ class PulseSpec:
         """Rectangular pulse of the given area with a constant detuning."""
         if duration <= 0:
             raise ValueError("duration must be positive to set an area")
-        return cls("rectangular", area / duration, duration,
-                   ConstantDetuning(detuning))
+        return cls("rectangular", area / duration, duration, "constant", detuning)
 
     @classmethod
     def sech(cls, peak_rabi: float, width: float = 1.0, detuning: float = 0.0,
-             chirp_rate: float | None = None,
-             window_half_width: float = DEFAULT_WINDOW_HALF_WIDTH) -> "PulseSpec":
+             chirp_rate: float | None = None) -> "PulseSpec":
         """Sech pulse; pass ``chirp_rate`` for the tanh-swept detuning model."""
-        model: DetuningModel
         if chirp_rate is None:
-            model = ConstantDetuning(detuning)
-        else:
-            if detuning:
-                raise ValueError("give either a constant detuning or a chirp")
-            model = TanhChirp(chirp_rate)
-        return cls("sech", peak_rabi, width, model, window_half_width)
+            return cls("sech", peak_rabi, width, "constant", detuning)
+        if detuning:
+            raise ValueError("give either a constant detuning or a chirp")
+        return cls("sech", peak_rabi, width, "tanh_chirp", chirp_rate)
 
 
 @dataclass(frozen=True)
@@ -254,17 +231,17 @@ def integrate_pulse_grid(
     rate: np.ndarray,
     window_half_width: float,
     config: IntegratorConfig,
-    return_steps: bool = False,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate a batch of pulses sharing one shape and detuning model.
 
     ``omega0``, ``duration`` and ``rate`` (constant detuning or chirp rate,
-    depending on ``model``) are flat arrays of equal length.  Returns flat
-    arrays (a, b) of Cayley-Klein parameters plus a boolean success mask,
-    and with ``return_steps`` also the step attempts per pulse.
-    Zero-duration entries come back as the identity.  Rectangular pulses
-    normally take their closed form (see :func:`constituent_grid`); they are
-    integrated here only to check the integrator against that form.
+    depending on ``model``) are flat arrays of equal length; sech pulses run
+    over ``window_half_width`` widths on each side of their centre.  Returns
+    flat arrays (a, b) of Cayley-Klein parameters, a boolean success mask
+    and the step attempts per pulse.  Zero-duration entries come back as the
+    identity.  Rectangular pulses normally take their closed form (see
+    :func:`constituent_grid`); they are integrated here only to check the
+    integrator against that form.
     """
     omega0 = np.asarray(omega0, dtype=float)
     duration = np.asarray(duration, dtype=float)
@@ -316,26 +293,14 @@ def integrate_pulse_grid(
     b = -np.conj(result.y[:, 1])
     defect = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)
     ok = result.success & (defect <= 10.0 * config.rel_tol)
-    if return_steps:
-        return a, b, ok, result.n_steps
-    return a, b, ok
-
-
-def detuning_fields(model: DetuningModel) -> tuple[str, float]:
-    """Grid name and rate of a detuning model: the detuning or the chirp rate."""
-    if isinstance(model, ConstantDetuning):
-        return "constant", model.detuning
-    return "tanh_chirp", model.chirp_rate
-
-
-def _closed_form(shape: str, model: str) -> bool:
-    # the route choice, for single pulses and grids alike
-    return shape == "rectangular" and model == "constant"
+    return a, b, ok, result.n_steps
 
 
 def integrate_pulse(spec: PulseSpec,
                     config: IntegratorConfig = DEFAULT_CONFIG) -> Propagator:
     """Numerically integrated propagator of one pulse, whatever its model.
+
+    Sech pulses run over the window of :data:`DEFAULT_WINDOW_HALF_WIDTH`.
 
     Raises
     ------
@@ -343,16 +308,14 @@ def integrate_pulse(spec: PulseSpec,
         If the step budget is exhausted or the result drifts off the unit
         sphere by more than 10 * rel_tol.
     """
-    model, rate = detuning_fields(spec.detuning_model)
     a, b, ok, steps = integrate_pulse_grid(
         spec.shape,
-        model,
+        spec.model,
         np.array([spec.peak_rabi]),
         np.array([spec.duration]),
-        np.array([rate]),
-        spec.window_half_width,
+        np.array([spec.rate]),
+        DEFAULT_WINDOW_HALF_WIDTH,
         config,
-        return_steps=True,
     )
     prop = Propagator(complex(a[0]), complex(b[0]))
     if not ok[0]:
@@ -369,13 +332,13 @@ def integrate_pulse(spec: PulseSpec,
 def grid_reuse() -> Iterator[None]:
     """Scope inside which :func:`constituent_grid` integrates each grid once.
 
-    A repeated call with the same shape, detuning model, window and the
-    same bytes of ``omega0``, ``duration`` and ``rate`` returns the arrays
-    of the first call, marked read-only: the bits that integrating again
-    would give.  Closed-form grids are recomputed, which costs about as much
-    as a lookup.  Everything kept is dropped when the scope ends;
-    ``cpgates preset`` opens one per command, so the jobs of a preset that
-    share a constituent grid integrate it once.
+    A repeated call with the same shape, detuning model and the same bytes
+    of ``omega0``, ``duration`` and ``rate`` returns the arrays of the first
+    call, marked read-only: the bits that integrating again would give.
+    Closed-form grids are recomputed, which costs about as much as a lookup.
+    Everything kept is dropped when the scope ends; ``cpgates preset`` opens
+    one per command, so the jobs of a preset that share a constituent grid
+    integrate it once.
     """
     token = _reused_grids.set({})
     try:
@@ -390,44 +353,48 @@ def constituent_grid(
     omega0: np.ndarray,
     duration: np.ndarray,
     rate: np.ndarray,
-    window_half_width: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagators of a batch of pulses sharing one shape and detuning model.
+    """Propagators of pulses sharing one shape and detuning model.
 
-    Rectangular pulses with a constant detuning take the closed form of
-    :func:`rect_propagator_grid` over the whole batch at once; every other
-    model is integrated at :data:`DEFAULT_CONFIG` by
-    :func:`integrate_pulse_grid` in fixed chunks of 4,096 points, which bound
-    the integrator's memory.  Every point has its own step control, so the
-    bits of a point do not depend on the batch it is integrated in.
+    The one route choice.  Rectangular pulses with a constant detuning take
+    the closed form of :func:`rect_propagator_grid`, elementwise and in the
+    shape of the inputs, scalars included.  Every other model is integrated
+    by :func:`integrate_pulse_grid` at :data:`DEFAULT_CONFIG` over the window
+    of :data:`DEFAULT_WINDOW_HALF_WIDTH`, in fixed chunks of 4,096 points,
+    which bound the integrator's memory; it returns flat arrays, one point
+    for scalar inputs.  Every point has its own step control, so the bits of
+    a point do not depend on the batch it is integrated in.
 
-    Arguments are as for :func:`integrate_pulse_grid`, without the config;
-    returns flat arrays (a, b).  A point whose integration missed its
-    contract is NaN in both.  Inside a :func:`grid_reuse` scope an
-    integrated grid seen before is not integrated again.
+    Arguments are as for :func:`integrate_pulse_grid`, without the window
+    and the config.  A point whose integration missed its contract is NaN in
+    both a and b, and numpy does not warn on the way.  Inside a
+    :func:`grid_reuse` scope an integrated grid seen before is not
+    integrated again.
     """
-    if _closed_form(shape, model):
+    if shape == "rectangular" and model == "constant":
         return rect_propagator_grid(omega0, duration, rate)
 
+    omega0, duration, rate = (np.atleast_1d(np.asarray(v, dtype=float))
+                              for v in (omega0, duration, rate))
     reused = _reused_grids.get()
     if reused is not None:
-        key = (shape, model, window_half_width,
-               *(np.asarray(v, float).tobytes() for v in (omega0, duration, rate)))
+        key = (shape, model, *(v.tobytes() for v in (omega0, duration, rate)))
         if key in reused:
             return reused[key]
 
     m = omega0.size
     a = np.empty(m, dtype=np.complex128)
     b = np.empty(m, dtype=np.complex128)
-
-    for lo in range(0, m, _CHUNK):
-        sel = slice(lo, lo + _CHUNK)
-        chunk_a, chunk_b, ok = integrate_pulse_grid(
-            shape, model, omega0[sel], duration[sel], rate[sel],
-            window_half_width, DEFAULT_CONFIG,
-        )
-        a[sel] = np.where(ok, chunk_a, np.nan)
-        b[sel] = np.where(ok, chunk_b, np.nan)
+    # a point that overflows or stalls comes back NaN, the one failure channel
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, m, _CHUNK):
+            sel = slice(lo, lo + _CHUNK)
+            chunk_a, chunk_b, ok, _ = integrate_pulse_grid(
+                shape, model, omega0[sel], duration[sel], rate[sel],
+                DEFAULT_WINDOW_HALF_WIDTH, DEFAULT_CONFIG,
+            )
+            a[sel] = np.where(ok, chunk_a, np.nan)
+            b[sel] = np.where(ok, chunk_b, np.nan)
     if reused is not None:
         for arr in (a, b):
             arr.flags.writeable = False
@@ -436,19 +403,23 @@ def constituent_grid(
 
 
 def constituent_propagator(spec: PulseSpec) -> Propagator:
-    """Propagator of one constituent pulse, by the route of :func:`constituent_grid`.
+    """Propagator of one constituent pulse: :func:`constituent_grid` at one point.
 
-    Rectangular pulses with a constant detuning (resonant or not) use the
-    closed form of :func:`rect_propagator_grid` on the spec's floats; sech
-    and chirped sech/tanh pulses are integrated at :data:`DEFAULT_CONFIG`.
+    The spec's floats go in as scalars, so rectangular pulses with a
+    constant detuning take the closed form on floats, and every other model
+    integrates as a one-point grid.
 
     Raises
     ------
     IntegrationError
-        If an integrated pulse misses its accuracy contract.
+        If the propagator is not finite: an integrated pulse missed its
+        accuracy contract, or the pulse overflowed.
     """
-    model, rate = detuning_fields(spec.detuning_model)
-    if _closed_form(spec.shape, model):
-        a, b = rect_propagator_grid(spec.peak_rabi, spec.duration, rate)
-        return Propagator(complex(a), complex(b))
-    return integrate_pulse(spec, DEFAULT_CONFIG)
+    a, b = constituent_grid(spec.shape, spec.model, spec.peak_rabi,
+                            spec.duration, spec.rate)
+    prop = Propagator(a.item(), b.item())
+    if not (cmath.isfinite(prop.a) and cmath.isfinite(prop.b)):
+        raise IntegrationError(
+            f"pulse integration failed: {spec} overflowed or missed the "
+            f"accuracy contract (rel_tol {DEFAULT_CONFIG.rel_tol:g})")
+    return prop

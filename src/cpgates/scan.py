@@ -33,7 +33,8 @@ from typing import IO
 
 import numpy as np
 
-from .pulses import PulseSpec, constituent_grid, detuning_fields
+from . import pulses
+from .pulses import PulseSpec, constituent_grid
 from .sequences import CompositePhases, PhaseGateSequence
 from .su2 import fold, gate_infidelity
 
@@ -124,8 +125,6 @@ def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], mesh):
     t0 = template.duration
     if t0 <= 0:
         raise ValueError("scan templates need a positive duration")
-    model, base_rate = detuning_fields(template.detuning_model)
-
     params = [ax.parameter for ax in axes]
     if len(set(params)) != len(params):
         raise ValueError("scan axes must address distinct parameters")
@@ -138,26 +137,23 @@ def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], mesh):
     shape = np.broadcast_shapes(*(g.shape for g in mesh)) if mesh else ()
     omega0 = np.full(shape, template.peak_rabi, dtype=float)
     duration = np.full(shape, t0, dtype=float)
-    rate = np.full(shape, base_rate, dtype=float)
+    rate = np.full(shape, template.rate, dtype=float)
 
     for ax, grid in zip(axes, mesh):
         if ax.parameter == "pulse_area_fraction":
-            if template.shape == "rectangular":
-                omega0 = grid * math.pi / t0
-            else:
-                omega0 = grid / t0  # sech area is pi * Omega0 * T
+            # area grid*pi over the area per unit Omega0*T gives Omega0*T0
+            omega0 = grid * (math.pi / pulses._AREA_PER_RABI_T[template.shape]) / t0
         elif ax.parameter == "peak_rabi_times_T":
             omega0 = grid / t0
         elif ax.parameter == "detuning_times_T":
-            if model != "constant":
+            if template.model != "constant":
                 raise ValueError(
                     "a detuning sweep requires the constant-detuning model"
                 )
             rate = grid / t0
         elif ax.parameter == "duration_fraction":
             duration = grid * t0
-    omega0, duration, rate = np.broadcast_arrays(omega0, duration, rate)
-    return omega0, duration, rate, model
+    return np.broadcast_arrays(omega0, duration, rate)
 
 
 def _check_points(metric: np.ndarray, coords: tuple[np.ndarray, ...]) -> None:
@@ -176,17 +172,16 @@ def _check_points(metric: np.ndarray, coords: tuple[np.ndarray, ...]) -> None:
 
 
 def _metadata(seq: PhaseGateSequence, template: PulseSpec) -> dict:
-    model, rate = detuning_fields(template.detuning_model)
     return {
         "family": seq.source.family,
         "variant": seq.source.variant,
         "gate_phase_pi": seq.gate_phase / math.pi,
         "pulse_shape": template.shape,
-        "detuning_model": model,
+        "detuning_model": template.model,
         "peak_rabi": template.peak_rabi,
         "duration": template.duration,
-        "detuning_rate": rate,
-        "window_half_width": template.window_half_width,
+        "detuning_rate": template.rate,
+        "window_half_width": pulses.DEFAULT_WINDOW_HALF_WIDTH,
     }
 
 
@@ -204,11 +199,9 @@ def _run_scan(
     # overflow and NaN surface as non-finite points, which _check_points
     # reports as a ScanError, so numpy need not warn about them on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega0, duration, rate, model = _apply_axes(template, axes, mesh)
-        a, b = constituent_grid(
-            template.shape, model, omega0.ravel(), duration.ravel(), rate.ravel(),
-            template.window_half_width,
-        )
+        omega0, duration, rate = _apply_axes(template, axes, mesh)
+        a, b = constituent_grid(template.shape, template.model, omega0.ravel(),
+                                duration.ravel(), rate.ravel())
         values = gate_infidelity(*fold(seq.phases, a, b), seq.gate_phase)
     _check_points(values, tuple(mesh))
     return ScanResult(
@@ -292,12 +285,8 @@ def error_order(
     area = cp.nominal_per_pulse_area * (1.0 + eps * direction[0])
     delta_t = eps * direction[1]
 
-    template = PulseSpec.rectangular(cp.nominal_per_pulse_area)
     # duration 1, so the peak Rabi frequency equals the area
-    a, b = constituent_grid(
-        template.shape, "constant", area, np.ones_like(eps), delta_t,
-        template.window_half_width,
-    )
+    a, b = constituent_grid("rectangular", "constant", area, np.ones_like(eps), delta_t)
     ga, gb = fold(seq.phases, a, b)
     if isinstance(seq, PhaseGateSequence):
         metric = gate_infidelity(ga, gb, seq.gate_phase)

@@ -190,8 +190,11 @@ def make_phase_gate_sequence(cp: CompositePhases, gate_phase: float) -> PhaseGat
 
     The second copy of the CP is shifted pulse-by-pulse by pi + gate_phase/2;
     all phases are reduced mod 2*pi without reordering.  gate_phase enters
-    through gate_phase/2 only, so shifting it by 4*pi changes nothing.
+    through gate_phase/2 only, so shifting it by 4*pi changes nothing.  A
+    non-finite gate_phase raises ValueError.
     """
+    if not math.isfinite(gate_phase):
+        raise ValueError(f"gate phase must be finite, got {gate_phase!r}")
     shift = math.pi + 0.5 * gate_phase
     phases = tuple(cp.phases) + tuple(_reduce(p + shift) for p in cp.phases)
     return PhaseGateSequence(gate_phase, phases, cp)

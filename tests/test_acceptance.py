@@ -252,7 +252,7 @@ def test_criterion_10_integrator_against_matrix_exponential():
     rng = np.random.default_rng(7)
     areas = rng.uniform(0.0, 10.0, 1000)
     detunings = rng.uniform(0.0, 10.0, 1000)
-    a, b, ok_mask = integrate_pulse_grid(
+    a, b, ok_mask, _ = integrate_pulse_grid(
         "rectangular", "constant", areas, np.ones(1000), detunings, 25.0,
         IntegratorConfig(),
     )

@@ -59,6 +59,13 @@ class TestSequenceCommand:
         assert code == 2
         assert "odd" in err
 
+    def test_non_finite_gate_phase_rejected(self, capsys):
+        code, out, err = run(capsys, "sequence", "--family", "broadband",
+                             "--variant", "n3", "--phase-pi", "nan")
+        assert code == 2
+        assert out == ""
+        assert "gate phase must be finite" in err
+
     def test_unknown_family_rejected(self, capsys):
         code, _, err = run(capsys, "sequence", "--family", "passband",
                            "--variant", "n3", "--phase-pi", "0")
@@ -96,12 +103,36 @@ class TestFidelityCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_numerical_failure_exit_code(self, capsys):
-        # a Rabi frequency so large that the step size stalls at once
-        code, _, err = run(capsys, "fidelity", "--family", "broadband",
-                           "--variant", "n3", "--phase-pi", "0.5",
-                           "--pulse", "sech", "--rabi-t", "1e30")
-        assert code == 3
-        assert err.startswith("numerical failure: pulse integration failed")
+        # 1e30 stalls the step size at once; 1e300 overflows the integrator
+        for rabi_t in ("1e30", "1e300"):
+            code, _, err = run(capsys, "fidelity", "--family", "broadband",
+                               "--variant", "n3", "--phase-pi", "0.5",
+                               "--pulse", "sech", "--rabi-t", rabi_t)
+            assert code == 3
+            assert err.startswith("numerical failure: pulse integration failed")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("phase_pi", ["nan", "inf"])
+    def test_non_finite_gate_phase_rejected(self, capsys, phase_pi):
+        code, out, err = run(capsys, "fidelity", "--family", "broadband",
+                             "--variant", "n3", "--phase-pi", phase_pi)
+        assert code == 2
+        assert out == ""
+        assert "gate phase must be finite" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--rabi-t", "5"), "--rabi-t applies to sech pulses only"),
+        (("--pulse", "sech", "--rabi-t", "1.2", "--area-pi", "0.9"),
+         "either --rabi-t or --area-pi"),
+        (("--pulse", "sech", "--chirp-t", "1", "--detuning-t", "0.3"),
+         "either a constant detuning or a chirp"),
+    ])
+    def test_ignored_pulse_flags_rejected(self, capsys, flags, message):
+        code, out, err = run(capsys, "fidelity", "--family", "broadband",
+                             "--variant", "n3", "--phase-pi", "0.5", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_chirp_on_rect_rejected(self, capsys):
         code, _, err = run(capsys, "fidelity", "--family", "broadband",
@@ -190,6 +221,13 @@ class TestScanCommand:
         assert code == 3
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
+
+    def test_non_finite_gate_phase_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *self.BASE[:6], "nan", *self.BASE[7:])
+        assert code == 2
+        assert "gate phase must be finite" in err
+        assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-steps"])
     def test_tolerance_flags_are_unknown(self, capsys, flag):
@@ -281,6 +319,15 @@ class TestPresetCommand:
         assert code == 2
         assert "at most 10000000 points" in err
         assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e306"])
+    def test_non_finite_sample_count_rejected(self, capsys, tmp_path, scale):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "preset", "fig1", "--out-dir", str(out_dir),
+                           "--samples-scale", scale)
+        assert code == 2
+        assert "samples scale must be positive and give a finite sample count" in err
+        assert not out_dir.exists()
 
     def test_unknown_preset(self, capsys, tmp_path):
         code, _, err = run(capsys, "preset", "fig9", "--out-dir", str(tmp_path))

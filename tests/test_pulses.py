@@ -16,7 +16,6 @@ from scipy.linalg import expm
 
 from cpgates import pulses
 from cpgates.pulses import (
-    ConstantDetuning,
     IntegratorConfig,
     IntegrationError,
     PulseSpec,
@@ -51,7 +50,7 @@ def scipy_reference(spec: PulseSpec):
     if spec.shape == "rectangular":
         t0, t1 = 0.0, spec.duration
     else:
-        t0 = -spec.window_half_width * spec.duration
+        t0 = -pulses.DEFAULT_WINDOW_HALF_WIDTH * spec.duration
         t1 = -t0
     width = spec.duration
 
@@ -61,11 +60,10 @@ def scipy_reference(spec: PulseSpec):
         return spec.peak_rabi / np.cosh(t / width)
 
     def phase(t):
-        model = spec.detuning_model
-        if isinstance(model, ConstantDetuning):
-            return model.detuning * (t - t0)
+        if spec.model == "constant":
+            return spec.rate * (t - t0)
         lc = lambda x: abs(x) - math.log(2.0) + math.log1p(math.exp(-2.0 * abs(x)))
-        return model.chirp_rate * width * (lc(t / width) - lc(t0 / width))
+        return spec.rate * width * (lc(t / width) - lc(t0 / width))
 
     def rhs(t, y):
         g = -0.5j * envelope(t) * np.exp(-1j * phase(t))
@@ -128,11 +126,19 @@ class TestPulseSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             PulseSpec("sech", float("nan"), 1.0)
         with pytest.raises(ValueError, match="finite"):
-            PulseSpec("rectangular", 1.0, 1.0, ConstantDetuning(float("inf")))
+            PulseSpec("rectangular", 1.0, 1.0, "constant", float("inf"))
 
-    def test_window_floor(self):
-        with pytest.raises(ValueError, match="window_half_width"):
-            PulseSpec("sech", 1.0, 1.0, window_half_width=3.0)
+    def test_unknown_detuning_model(self):
+        with pytest.raises(ValueError, match="detuning model"):
+            PulseSpec("sech", 1.0, 1.0, "linear_chirp", 1.0)
+
+    def test_factories_speak_the_grid_strings(self):
+        assert PulseSpec.sech(1.5, detuning=0.5) == PulseSpec("sech", 1.5, 1.0,
+                                                              "constant", 0.5)
+        assert PulseSpec.sech(1.5, chirp_rate=2.0) == PulseSpec("sech", 1.5, 1.0,
+                                                                "tanh_chirp", 2.0)
+        assert PulseSpec.rectangular(3.0, 2.0, 0.7) == PulseSpec("rectangular", 1.5,
+                                                                 2.0, "constant", 0.7)
 
     def test_sech_factory_rejects_double_detuning(self):
         with pytest.raises(ValueError, match="either"):
@@ -207,18 +213,19 @@ class TestIntegratedSech:
         assert got.a == 1.0 and got.b == 0.0
 
     def test_window_truncation_converged(self):
-        # widening the default window must not move |a| or |b| above 1e-8;
-        # entry phases are referenced to the window start and shift with it
-        for rabi_t, chirp in ((1.0, None), (5.0, 1.0), (20.0, 1.0)):
-            base = PulseSpec.sech(rabi_t, chirp_rate=chirp) if chirp else PulseSpec.sech(rabi_t)
-            wide = PulseSpec(
-                base.shape, base.peak_rabi, base.duration, base.detuning_model,
-                window_half_width=35.0,
-            )
-            u0 = integrate_pulse(base, TIGHT)
-            u1 = integrate_pulse(wide, TIGHT)
-            assert abs(abs(u0.a) - abs(u1.a)) < 1e-8
-            assert abs(abs(u0.b) - abs(u1.b)) < 1e-8
+        # widening the window from 25 to 35 widths must not move |a| or |b|
+        # above 1e-8; entry phases are referenced to the window start and
+        # shift with it
+        assert pulses.DEFAULT_WINDOW_HALF_WIDTH == 25.0
+        for rabi_t, model, rate in ((1.0, "constant", 0.0), (5.0, "tanh_chirp", 1.0),
+                                    (20.0, "tanh_chirp", 1.0)):
+            (a0, b0, ok0, _), (a1, b1, ok1, _) = (
+                integrate_pulse_grid("sech", model, np.array([rabi_t]), np.ones(1),
+                                     np.array([rate]), window, TIGHT)
+                for window in (25.0, 35.0))
+            assert ok0.all() and ok1.all()
+            assert abs(abs(a0[0]) - abs(a1[0])) < 1e-8
+            assert abs(abs(b0[0]) - abs(b1[0])) < 1e-8
 
 
 class TestIntegratorContract:
@@ -266,7 +273,7 @@ class TestIntegratorContract:
     def test_batch_equals_single_evaluation(self):
         # chunk membership must not change any bits
         rabi = np.array([0.5, 1.5, 3.0, 7.5])
-        a, b, ok = integrate_pulse_grid(
+        a, b, ok, _ = integrate_pulse_grid(
             "sech", "tanh_chirp", rabi, np.ones(4), np.ones(4), 25.0,
             IntegratorConfig(),
         )
@@ -308,10 +315,10 @@ class TestClosedFormRectangular:
         delta = rng.uniform(-5.0, 5.0, 200)
         delta[:50] = 0.0
         a, b = constituent_grid("rectangular", "constant", omega,
-                                np.ones(200), delta, 25.0)
+                                np.ones(200), delta)
         for i in range(200):
             got = constituent_propagator(
-                PulseSpec("rectangular", omega[i], 1.0, ConstantDetuning(delta[i])))
+                PulseSpec("rectangular", omega[i], 1.0, "constant", delta[i]))
             assert abs(got.a - a[i]) < 1e-15
             assert abs(got.b - b[i]) < 1e-15
 
@@ -335,6 +342,25 @@ class TestConstituentDispatch:
         got = constituent_propagator(PulseSpec.sech(1.0))
         assert abs(got.a) < 1e-8
 
+    @pytest.mark.parametrize("spec", [PulseSpec.sech(1.7, detuning=0.4),
+                                      PulseSpec.sech(2.5, chirp_rate=1.0)])
+    def test_sech_is_a_one_point_grid(self, spec):
+        got = constituent_propagator(spec)
+        a, b = constituent_grid(spec.shape, spec.model, np.array([spec.peak_rabi]),
+                                np.array([spec.duration]), np.array([spec.rate]))
+        assert (got.a, got.b) == (a[0], b[0])
+        want = integrate_pulse(spec)
+        assert (got.a, got.b) == (want.a, want.b)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_steps, rabi_t", [(4, 1.0), (100_000, 1e300)])
+    def test_failed_pulse_raises_quietly(self, monkeypatch, max_steps, rabi_t):
+        # a spent step budget and an overflow fail through the same channel
+        monkeypatch.setattr(pulses, "DEFAULT_CONFIG",
+                            IntegratorConfig(max_steps=max_steps))
+        with pytest.raises(IntegrationError, match="^pulse integration failed"):
+            constituent_propagator(PulseSpec.sech(rabi_t, chirp_rate=1.0))
+
 
 @pytest.mark.parametrize("model", ["constant", "tanh_chirp"])
 def test_chunked_grid_matches_any_sub_batch(model, monkeypatch):
@@ -346,9 +372,9 @@ def test_chunked_grid_matches_any_sub_batch(model, monkeypatch):
     rate = rng.uniform(-2.0, 2.0, 4900)
     loose = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     monkeypatch.setattr(pulses, "DEFAULT_CONFIG", loose)  # keeps the test fast
-    whole = constituent_grid("sech", model, omega0, duration, rate, 25.0)
+    whole = constituent_grid("sech", model, omega0, duration, rate)
     for sel in (slice(3, 10), slice(4095, 4100), slice(17, 4900)):
-        a, b, ok = integrate_pulse_grid("sech", model, omega0[sel], duration[sel],
+        a, b, ok, _ = integrate_pulse_grid("sech", model, omega0[sel], duration[sel],
                                         rate[sel], 25.0, loose)
         assert ok.all()
         assert whole[0][sel].tobytes() == a.tobytes()
@@ -359,7 +385,7 @@ def test_failed_grid_points_come_back_as_nan(monkeypatch):
     # the grid's only failure channel: NaN where the contract was missed
     monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
     a, b = constituent_grid("sech", "constant", np.array([0.0, 1.0]),
-                            np.array([0.0, 1.0]), np.zeros(2), 25.0)
+                            np.array([0.0, 1.0]), np.zeros(2))
     assert (a[0], b[0]) == (1.0, 0.0)  # zero duration needs no step
     assert np.isnan(a[1]) and np.isnan(b[1])
 
@@ -369,7 +395,7 @@ class TestGridReuse:
 
     def grid(self, rate=1.0):
         return constituent_grid("sech", "tanh_chirp", self.RABI, np.ones(7),
-                                np.full(7, rate), 25.0)
+                                np.full(7, rate))
 
     @pytest.fixture
     def integrations(self, monkeypatch):
@@ -402,7 +428,7 @@ class TestGridReuse:
 
     def test_closed_form_grids_are_not_kept(self, integrations):
         args = ("rectangular", "constant", np.full(3, PI), np.ones(3),
-                np.linspace(-1.0, 1.0, 3), 25.0)
+                np.linspace(-1.0, 1.0, 3))
         with grid_reuse():
             first = constituent_grid(*args)
             again = constituent_grid(*args)

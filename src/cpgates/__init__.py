@@ -10,16 +10,12 @@ from types import ModuleType as _ModuleType
 __version__ = "0.1.0"
 
 from .su2 import (
-    IDENTITY,
     Propagator,
     TargetGate,
-    compose,
     fold,
     gate_infidelity,
     infidelity,
-    phase_invariant_infidelity,
     sequence_propagator,
-    target_gate_matrix,
     with_phase,
 )
 from .pulses import (
@@ -28,7 +24,6 @@ from .pulses import (
     IntegratorConfig,
     PulseSpec,
     constituent_propagator,
-    integrate_pulse,
     resonant_rect_propagator,
     transition_probability,
 )

@@ -190,22 +190,14 @@ def solve_batch(
     active = span > 0.0
 
     k1 = np.zeros_like(y)
-    h = np.zeros(m, dtype=float)
     if active.any():
         idx = np.nonzero(active)[0]
-        f0 = rhs(t[idx], y[idx], idx)
-        k1[idx] = f0
-        # crude first guess; the controller corrects it within a few steps
-        scale = atol + rtol * np.abs(y[idx])
-        d0 = np.sqrt(np.mean((np.abs(y[idx]) / scale) ** 2, axis=1))
-        d1 = np.sqrt(np.mean((np.abs(f0) / scale) ** 2, axis=1))
-        with np.errstate(over="ignore", divide="ignore"):
-            ratio = 0.01 * d0 / np.maximum(d1, 1e-300)
-        h0 = np.where(d1 > 1e-300, ratio, span[idx])
-        h[idx] = np.minimum(np.maximum(h0, 1e-6 * span[idx]), span[idx])
+        k1[idx] = rhs(t[idx], y[idx], idx)
 
     # steps never exceed a fixed fraction of the window, so a localized
-    # pulse cannot slip between the stage points of one long quiet step
+    # pulse cannot slip between the stage points of one long quiet step;
+    # the first step tries that cap, and the controller shrinks it as needed
+    h = span.copy()
     h_cap = span / 16.0
 
     while active.any():

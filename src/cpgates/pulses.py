@@ -25,9 +25,11 @@ and handed out again; nothing is kept once the scope ends.
 
 Integration runs at :data:`DEFAULT_CONFIG` and over that window, both read
 at call time: a failed grid point comes back as NaN, and a single pulse
-whose propagator is not finite raises :class:`IntegrationError`.  Only
-:func:`integrate_pulse` and :func:`integrate_pulse_grid` take an
-:class:`IntegratorConfig`.
+whose propagator is not finite raises :class:`IntegrationError`.  A
+:class:`PulseSpec` whose generalized Rabi frequency times its duration
+overflows is rejected as bad input, so on a single pulse that error comes
+only from integration.  Only :func:`integrate_pulse_grid`, the integrator's
+own entry point, takes a window and an :class:`IntegratorConfig`.
 
 Times are in arbitrary units; all physically meaningful inputs are the
 dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
@@ -54,7 +56,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "resonant_rect_propagator",
     "rect_propagator_grid",
-    "integrate_pulse",
     "grid_reuse",
     "constituent_grid",
     "constituent_propagator",
@@ -118,6 +119,10 @@ class PulseSpec:
             raise ValueError("peak_rabi must be nonnegative")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
+        # keeps every term of the closed Rabi form finite
+        if not math.isfinite(math.hypot(self.peak_rabi, self.rate) * self.duration):
+            raise ValueError("pulse too strong: hypot(peak_rabi, rate) * duration "
+                             "overflows")
 
     def area(self) -> float:
         """Pulse area: Omega0*duration (rectangular) or pi*Omega0*T (sech)."""
@@ -168,12 +173,6 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 class IntegrationError(RuntimeError):
     """Raised when a pulse integration cannot meet its contract."""
-
-    def __init__(self, message: str, *, achieved_defect: float | None = None,
-                 n_steps: int | None = None):
-        super().__init__(message)
-        self.achieved_defect = achieved_defect
-        self.n_steps = n_steps
 
 
 def resonant_rect_propagator(area: float) -> Propagator:
@@ -296,38 +295,6 @@ def integrate_pulse_grid(
     return a, b, ok, result.n_steps
 
 
-def integrate_pulse(spec: PulseSpec,
-                    config: IntegratorConfig = DEFAULT_CONFIG) -> Propagator:
-    """Numerically integrated propagator of one pulse, whatever its model.
-
-    Sech pulses run over the window of :data:`DEFAULT_WINDOW_HALF_WIDTH`.
-
-    Raises
-    ------
-    IntegrationError
-        If the step budget is exhausted or the result drifts off the unit
-        sphere by more than 10 * rel_tol.
-    """
-    a, b, ok, steps = integrate_pulse_grid(
-        spec.shape,
-        spec.model,
-        np.array([spec.peak_rabi]),
-        np.array([spec.duration]),
-        np.array([spec.rate]),
-        DEFAULT_WINDOW_HALF_WIDTH,
-        config,
-    )
-    prop = Propagator(complex(a[0]), complex(b[0]))
-    if not ok[0]:
-        raise IntegrationError(
-            f"pulse integration failed (unitarity defect "
-            f"{prop.unitarity_defect():.3e}, requested rel_tol {config.rel_tol:g})",
-            achieved_defect=prop.unitarity_defect(),
-            n_steps=int(steps[0]),
-        )
-    return prop
-
-
 @contextlib.contextmanager
 def grid_reuse() -> Iterator[None]:
     """Scope inside which :func:`constituent_grid` integrates each grid once.
@@ -412,8 +379,9 @@ def constituent_propagator(spec: PulseSpec) -> Propagator:
     Raises
     ------
     IntegrationError
-        If the propagator is not finite: an integrated pulse missed its
-        accuracy contract, or the pulse overflowed.
+        If the propagator is not finite: an integrated pulse overflowed or
+        missed its accuracy contract.  The closed form is finite for every
+        valid spec.
     """
     a, b = constituent_grid(spec.shape, spec.model, spec.peak_rabi,
                             spec.duration, spec.rate)

@@ -22,7 +22,9 @@ duration T0:
     duration_fraction     T/T0; scales the pulse length, all else fixed
 
 CSV output carries the full metadata as '#'-prefixed header lines followed
-by "x[,y],F" rows in scientific notation with 12 significant digits.
+by "x[,y],F" rows in scientific notation with 12 significant digits.  Axis
+bounds are written exactly, so write, read and write again gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     for i, ax in enumerate(result.axes):
         stream.write(
             f"# axis{i}: parameter={ax.parameter} spacing={ax.spacing} "
-            f"start={ax.start:.12g} stop={ax.stop:.12g} samples={ax.samples}\n"
+            f"start={float(ax.start)!r} stop={float(ax.stop)!r} "
+            f"samples={ax.samples}\n"
         )
     names = ",".join(ax.parameter for ax in result.axes)
     stream.write(f"# columns: {names},infidelity\n")
@@ -380,7 +383,11 @@ def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) ->
 def read_scan_csv(path) -> ScanResult:
     """Parse a file written by :func:`write_scan_csv`.
 
-    The '#' header ends at the first data row; numpy parses the rows.
+    The '#' header ends at the first data row; numpy parses the rows.  The
+    axes come back exactly, because their bounds are written in the shortest
+    form that round-trips; every other header line comes back as a string
+    in ``metadata``, except ``columns``, which the axes imply.  Writing the
+    result again gives the same bytes.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -405,8 +412,9 @@ def read_scan_csv(path) -> ScanResult:
                     )
                 )
             elif ":" in body:
-                key, value = body.split(":", 1)
-                metadata[key.strip()] = value.strip()
+                key, value = (part.strip() for part in body.split(":", 1))
+                if key != "columns":
+                    metadata[key] = value
     if not axes:
         raise ValueError(f"{path} carries no axis header")
     rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)

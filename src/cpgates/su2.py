@@ -6,12 +6,13 @@ determinant and is stored here as the complex pair (a, b); the full matrix is
     [[ a,        b      ],
      [-conj(b),  conj(a)]].
 
-Everything in this module is exact algebra on such pairs: field-phase shifts,
-composition, ordered pulse sequences, ideal phase-gate targets, and the
-Frobenius-distance infidelity.  All values are immutable and all functions are
-pure.  The sequence product :func:`fold` and :func:`gate_infidelity` work
-elementwise on Python complex numbers and on numpy arrays alike, so one point
-query and a whole scan grid run the same kernels.
+Everything in this module is exact algebra on such pairs: the field-phase
+shift, the one sequence product :func:`fold` and the one distance
+:func:`gate_infidelity` to the ideal phase gate diag(e^{i*phase/2},
+e^{-i*phase/2}).  Both work elementwise on Python complex numbers and on numpy
+arrays alike, so one point query and a whole scan grid run the same kernels;
+:func:`sequence_propagator` and :func:`infidelity` wrap them for a single
+:class:`Propagator`.  All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ import numpy as np
 __all__ = [
     "Propagator",
     "TargetGate",
-    "IDENTITY",
     "with_phase",
-    "compose",
     "fold",
     "sequence_propagator",
-    "target_gate_matrix",
     "gate_infidelity",
     "infidelity",
-    "phase_invariant_infidelity",
 ]
 
 
@@ -61,9 +58,6 @@ class Propagator:
         return abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
 
 
-IDENTITY = Propagator(1.0 + 0.0j, 0.0 + 0.0j)
-
-
 @dataclass(frozen=True)
 class TargetGate:
     """Ideal phase gate diag(e^{i*phase/2}, e^{-i*phase/2}).
@@ -82,18 +76,6 @@ def with_phase(u: Propagator, phase: float) -> Propagator:
     off-diagonal element: (a, b) -> (a, b * e^{i*phase}).
     """
     return Propagator(u.a, u.b * cmath.exp(1j * phase))
-
-
-def compose(second: Propagator, first: Propagator) -> Propagator:
-    """Matrix product second @ first, in Cayley-Klein form.
-
-    ``first`` acts first in time.  The product of two unit-determinant
-    unitaries is again of that form, so nothing is lost by staying in
-    (a, b) coordinates.
-    """
-    a = second.a * first.a - second.b * np.conj(first.b)
-    b = second.a * first.b + second.b * np.conj(first.a)
-    return Propagator(complex(a), complex(b))
 
 
 def fold(phases: Iterable[float], a, b):
@@ -126,11 +108,6 @@ def sequence_propagator(phases: Iterable[float],
     return Propagator(complex(ga), complex(gb))
 
 
-def target_gate_matrix(gate: TargetGate) -> Propagator:
-    """Cayley-Klein form of the ideal phase gate: (e^{i*phase/2}, 0)."""
-    return Propagator(cmath.exp(0.5j * gate.gate_phase), 0.0 + 0.0j)
-
-
 def gate_infidelity(ga, gb, gate_phase: float):
     """Frobenius distance of gates (ga, gb) to the ideal phase gate.
 
@@ -147,18 +124,8 @@ def infidelity(actual: Propagator, target: TargetGate) -> float:
     """Frobenius distance between the achieved gate and the ideal one.
 
     :func:`gate_infidelity` of ``actual``.  No global phase is divided out,
-    so a pure global phase on ``actual`` does count as error; see
-    :func:`phase_invariant_infidelity` for the quotient variant.  The value
+    so a pure global phase on ``actual`` does count as error.  The value
     lies in [0, 2*sqrt(2)] for unitary inputs.
     """
     return float(gate_infidelity(actual.a, actual.b, target.gate_phase))
 
-
-def phase_invariant_infidelity(actual: Propagator, target: TargetGate) -> float:
-    """Frobenius distance minimized over a global phase on ``actual``.
-
-    Optional diagnostic metric; the plain :func:`infidelity` is the quantity
-    used everywhere else in this package.
-    """
-    overlap = np.trace(target_gate_matrix(target).matrix().conj().T @ actual.matrix())
-    return float(np.sqrt(max(0.0, 4.0 - 2.0 * abs(overlap))))

@@ -112,6 +112,17 @@ class TestFidelityCommand:
             assert err.startswith("numerical failure: pulse integration failed")
             assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rect_pulse_is_bad_input(self, capsys):
+        # no integration runs: the closed Rabi form would overflow
+        code, out, err = run(capsys, "fidelity", "--family", "broadband",
+                             "--variant", "n3", "--phase-pi", "0.5",
+                             "--area-pi", "5e307", "--detuning-t", "1.7e308")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pulse too strong")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("phase_pi", ["nan", "inf"])
     def test_non_finite_gate_phase_rejected(self, capsys, phase_pi):
         code, out, err = run(capsys, "fidelity", "--family", "broadband",

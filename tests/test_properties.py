@@ -1,4 +1,4 @@
-"""Properties of the shared fold and infidelity kernels, checked with hypothesis.
+"""Properties of the shared kernels and of scans, checked with hypothesis.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgates.pulses import PulseSpec, constituent_propagator
-from cpgates.scan import SweepAxis, scan_1d
+from cpgates.scan import PARAMETERS, SweepAxis, scan_1d, scan_2d
 from cpgates.sequences import (
     DETUNING_VARIANTS,
     UNIVERSAL_VARIANTS,
@@ -40,6 +40,11 @@ angle = st.floats(0.0, 2.0 * PI)
 # (theta, alpha, beta) of a = cos(theta/2) e^{i alpha}, b = sin(theta/2) e^{i beta}
 unit_pairs = st.lists(st.tuples(st.floats(0.0, PI), angle, angle),
                       min_size=1, max_size=8)
+
+
+# ordered pairs of parameters a map may sweep together
+MAP_AXES = [(p, q) for p in PARAMETERS for q in PARAMETERS
+            if p != q and {p, q} != {"pulse_area_fraction", "peak_rabi_times_T"}]
 
 
 def pairs(draw):
@@ -95,3 +100,28 @@ def test_gate_phase_shifted_by_four_pi_is_the_same_gate(cp, phase, drawn):
             values.append(infidelity(gate_propagator(seq, pulse),
                                      TargetGate(gate_phase)))
         assert abs(values[0] - values[1]) <= 1e-12
+
+
+def assert_transposed_axes_transpose_the_map(ax, ay, seq, template):
+    xy = scan_2d(ax, ay, seq, template).values
+    yx = scan_2d(ay, ax, seq, template).values
+    assert np.array_equal(xy.T, yx)
+
+
+@deterministic
+@given(st.sampled_from(MAP_AXES), st.sampled_from(SHIPPED), angle,
+       st.tuples(st.floats(0.1, 1.5), st.floats(0.1, 1.5)),
+       st.tuples(st.integers(2, 7), st.integers(2, 7)))
+def test_transposed_axes_transpose_a_rect_map(params, cp, phase, starts, samples):
+    ax, ay = (SweepAxis(p, lo, lo + 1.0, n)
+              for p, lo, n in zip(params, starts, samples))
+    seq = make_phase_gate_sequence(cp, phase)
+    template = PulseSpec.rectangular(cp.nominal_per_pulse_area)
+    assert_transposed_axes_transpose_the_map(ax, ay, seq, template)
+
+
+def test_transposed_axes_transpose_a_sech_map():
+    ax = SweepAxis("peak_rabi_times_T", 0.5, 3.0, 6)
+    ay = SweepAxis("detuning_times_T", -1.0, 1.0, 5)
+    seq = make_phase_gate_sequence(broadband_phases(3), PI / 2)
+    assert_transposed_axes_transpose_the_map(ax, ay, seq, PulseSpec.sech(1.0))

@@ -22,12 +22,12 @@ from cpgates.pulses import (
     constituent_grid,
     constituent_propagator,
     grid_reuse,
-    integrate_pulse,
     integrate_pulse_grid,
     rect_propagator_grid,
     resonant_rect_propagator,
     transition_probability,
 )
+from cpgates.su2 import Propagator
 
 PI = math.pi
 TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -43,6 +43,16 @@ def rect_oracle(area: float, delta_t: float):
     u = expm(-1j * ht)
     s = np.diag([np.exp(-0.5j * delta_t), np.exp(0.5j * delta_t)])
     return s @ u
+
+
+def integrate_one(spec: PulseSpec, config: IntegratorConfig = IntegratorConfig()):
+    """integrate_pulse_grid at the spec's one point; the contract must hold."""
+    a, b, ok, _ = integrate_pulse_grid(
+        spec.shape, spec.model, np.array([spec.peak_rabi]),
+        np.array([spec.duration]), np.array([spec.rate]),
+        pulses.DEFAULT_WINDOW_HALF_WIDTH, config)
+    assert ok[0]
+    return Propagator(complex(a[0]), complex(b[0]))
 
 
 def scipy_reference(spec: PulseSpec):
@@ -122,6 +132,14 @@ class TestPulseSpecValidation:
         with pytest.raises(ValueError, match="peak_rabi"):
             PulseSpec("sech", -1.0, 1.0)
 
+    def test_overflowing_rabi_product(self):
+        # hypot(peak_rabi, rate) * duration bounds the closed Rabi form
+        with pytest.raises(ValueError, match="overflows"):
+            PulseSpec("rectangular", 1.6e308, 1.0, "constant", 1.7e308)
+        with pytest.raises(ValueError, match="overflows"):
+            PulseSpec("sech", 1e300, 1e10)
+        PulseSpec("sech", 1e300, 1.0)  # finite: fails in integration, if at all
+
     def test_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             PulseSpec("sech", float("nan"), 1.0)
@@ -157,7 +175,7 @@ class TestPulseSpecValidation:
 
 class TestIntegratedRectangular:
     def test_resonant_matches_closed_form(self):
-        got = integrate_pulse(PulseSpec.rectangular(PI))
+        got = integrate_one(PulseSpec.rectangular(PI))
         want = resonant_rect_propagator(PI)
         assert abs(got.a - want.a) < 1e-9
         assert abs(got.b - want.b) < 1e-9
@@ -167,13 +185,13 @@ class TestIntegratedRectangular:
         [(PI, 0.7), (0.4 * PI, -1.3), (2.3, 2.0), (3 * PI / 5, 0.2), (7.0, 9.5)],
     )
     def test_detuned_matches_matrix_exponential(self, area, delta_t):
-        got = integrate_pulse(PulseSpec.rectangular(area, detuning=delta_t))
+        got = integrate_one(PulseSpec.rectangular(area, detuning=delta_t))
         want = rect_oracle(area, delta_t)
         assert abs(got.a - want[0, 0]) < 1e-9
         assert abs(got.b - want[0, 1]) < 1e-9
 
     def test_zero_duration_is_identity(self):
-        got = integrate_pulse(PulseSpec("rectangular", 1.0, 0.0))
+        got = integrate_one(PulseSpec("rectangular", 1.0, 0.0))
         assert got.a == 1.0 and got.b == 0.0
 
 
@@ -181,12 +199,12 @@ class TestIntegratedSech:
     def test_resonant_rosen_zener_amplitude(self):
         # on resonance a = cos(pi*Omega0*T/2)
         for rabi_t in (0.5, 1.0, 2.0, 3.3):
-            got = integrate_pulse(PulseSpec.sech(rabi_t))
+            got = integrate_one(PulseSpec.sech(rabi_t))
             assert abs(got.a - math.cos(PI * rabi_t / 2.0)) < 1e-8
 
     @pytest.mark.parametrize("rabi_t,delta_t", [(1.0, 0.5), (0.6, 1.5), (2.3, -0.8)])
     def test_detuned_rosen_zener_transfer(self, rabi_t, delta_t):
-        got = integrate_pulse(PulseSpec.sech(rabi_t, detuning=delta_t))
+        got = integrate_one(PulseSpec.sech(rabi_t, detuning=delta_t))
         want = math.sin(PI * rabi_t / 2.0) ** 2 / math.cosh(PI * delta_t / 2.0) ** 2
         assert abs(transition_probability(got) - want) < 1e-8
 
@@ -196,7 +214,7 @@ class TestIntegratedSech:
     )
     def test_chirped_surviving_amplitude(self, rabi_t, chirp_t):
         # sech envelope with tanh-swept detuning has a closed-form |a|^2
-        got = integrate_pulse(PulseSpec.sech(rabi_t, chirp_rate=chirp_t))
+        got = integrate_one(PulseSpec.sech(rabi_t, chirp_rate=chirp_t))
         root = np.sqrt(complex(rabi_t**2 - chirp_t**2))
         want = abs(np.cos(PI * root / 2.0)) ** 2 / math.cosh(PI * chirp_t / 2.0) ** 2
         assert abs(abs(got.a) ** 2 - want) < 1e-8
@@ -204,12 +222,12 @@ class TestIntegratedSech:
     def test_chirp_sign_symmetry(self):
         # symmetric envelope with antisymmetric detuning: |a| is even in the sweep
         for rabi_t in (0.8, 3.0, 11.0):
-            up = integrate_pulse(PulseSpec.sech(rabi_t, chirp_rate=1.0), TIGHT)
-            down = integrate_pulse(PulseSpec.sech(rabi_t, chirp_rate=-1.0), TIGHT)
+            up = integrate_one(PulseSpec.sech(rabi_t, chirp_rate=1.0), TIGHT)
+            down = integrate_one(PulseSpec.sech(rabi_t, chirp_rate=-1.0), TIGHT)
             assert abs(abs(up.a) - abs(down.a)) < 1e-9
 
     def test_zero_rabi_is_identity(self):
-        got = integrate_pulse(PulseSpec.sech(0.0, chirp_rate=1.0))
+        got = integrate_one(PulseSpec.sech(0.0, chirp_rate=1.0))
         assert got.a == 1.0 and got.b == 0.0
 
     def test_window_truncation_converged(self):
@@ -235,13 +253,13 @@ class TestIntegratorContract:
             PulseSpec.sech(12.0, chirp_rate=1.0),
             PulseSpec.sech(20.0, detuning=3.0),
         ):
-            got = integrate_pulse(spec)
+            got = integrate_one(spec)
             assert got.unitarity_defect() < 10.0 * 1e-10
 
     def test_tightening_tolerance_barely_moves_entries(self):
         spec = PulseSpec.sech(2.0, chirp_rate=1.0)
-        coarse = integrate_pulse(spec, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
-        fine = integrate_pulse(spec, IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11))
+        coarse = integrate_one(spec, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
+        fine = integrate_one(spec, IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11))
         assert abs(coarse.a - fine.a) < 10.0 * 1e-8
         assert abs(coarse.b - fine.b) < 10.0 * 1e-8
 
@@ -258,17 +276,21 @@ class TestIntegratorContract:
             else:
                 spec = PulseSpec.sech(rng.uniform(0.1, 4.0),
                                       chirp_rate=rng.uniform(-2.0, 2.0))
-            got = integrate_pulse(spec, TIGHT)
+            got = integrate_one(spec, TIGHT)
             ref_a, ref_b = scipy_reference(spec)
             assert abs(got.a - ref_a) < 1e-8
             assert abs(got.b - ref_b) < 1e-8
 
-    def test_step_budget_exhaustion_raises(self):
+    def test_step_budget_exhaustion_raises(self, monkeypatch):
+        starved = IntegratorConfig(max_steps=5)
+        _, _, ok, steps = integrate_pulse_grid(
+            "sech", "tanh_chirp", np.array([8.0]), np.ones(1), np.ones(1),
+            pulses.DEFAULT_WINDOW_HALF_WIDTH, starved)
+        assert not ok[0] and steps[0] == 5
+        monkeypatch.setattr(pulses, "DEFAULT_CONFIG", starved)
         with pytest.raises(IntegrationError) as err:
-            integrate_pulse(PulseSpec.sech(8.0, chirp_rate=1.0),
-                            IntegratorConfig(max_steps=5))
+            constituent_propagator(PulseSpec.sech(8.0, chirp_rate=1.0))
         assert "rel_tol" in str(err.value)
-        assert err.value.n_steps == 5
 
     def test_batch_equals_single_evaluation(self):
         # chunk membership must not change any bits
@@ -279,7 +301,7 @@ class TestIntegratorContract:
         )
         assert ok.all()
         for i, r in enumerate(rabi):
-            single = integrate_pulse(PulseSpec.sech(r, chirp_rate=1.0))
+            single = integrate_one(PulseSpec.sech(r, chirp_rate=1.0))
             assert single.a == a[i]
             assert single.b == b[i]
 
@@ -349,7 +371,7 @@ class TestConstituentDispatch:
         a, b = constituent_grid(spec.shape, spec.model, np.array([spec.peak_rabi]),
                                 np.array([spec.duration]), np.array([spec.rate]))
         assert (got.a, got.b) == (a[0], b[0])
-        want = integrate_pulse(spec)
+        want = integrate_one(spec)
         assert (got.a, got.b) == (want.a, want.b)
 
     @pytest.mark.filterwarnings("error")

@@ -324,6 +324,22 @@ class TestCsvContract:
         np.testing.assert_allclose(back.values, res.values, rtol=1e-11, atol=0)
         assert back.metadata["family"] == "broadband"
 
+    def test_rewrite_gives_the_same_bytes(self, tmp_path):
+        # 16 significant digits in a bound: .12g would rebuild another grid
+        ax = SweepAxis("pulse_area_fraction", 0.1234567890123456, 1.3, 7)
+        ay = SweepAxis("detuning_times_T", -0.7, 0.45, 4)
+        res = scan_2d(ax, ay, bb_gate(3), PulseSpec.rectangular(PI))
+        first = tmp_path / "first.csv"
+        save_scan_csv(res, first, extra_header={"command": "unit-test"})
+        back = read_scan_csv(first)
+        assert back.axes == res.axes
+        assert back.axes[0].start == 0.1234567890123456
+        assert "columns" not in back.metadata
+        assert back.metadata["gate_phase_pi"] == "0.5"  # values come back as strings
+        second = tmp_path / "second.csv"
+        save_scan_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_two_axis_rows(self, tmp_path):
         ax = SweepAxis("duration_fraction", 0.5, 1.5, 3)
         ay = SweepAxis("detuning_times_T", -1.0, 1.0, 4)

@@ -1,4 +1,4 @@
-"""Cayley-Klein algebra: phase map, composition, sequences, infidelity."""
+"""Cayley-Klein algebra: phase map, sequence product, infidelity."""
 
 import cmath
 import math
@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 
 from cpgates.su2 import (
-    IDENTITY,
     Propagator,
     TargetGate,
-    compose,
     infidelity,
-    phase_invariant_infidelity,
     sequence_propagator,
-    target_gate_matrix,
     with_phase,
 )
 
 PI = math.pi
+IDENTITY = Propagator(1.0 + 0.0j, 0.0 + 0.0j)
 
 
 def random_propagator(rng) -> Propagator:
@@ -58,9 +55,11 @@ class TestWithPhase:
 
 
 class TestCompose:
+    """Pulse pairs through the one sequence product; phase 0 acts first."""
+
     def test_two_pi_pulses_in_antiphase_cancel(self):
         u = Propagator(0.0, -1j)
-        total = compose(with_phase(u, PI), u)
+        total = sequence_propagator([0.0, PI], u)
         assert abs(total.a - 1.0) < 1e-15
         assert abs(total.b) < 1e-15
 
@@ -68,17 +67,9 @@ class TestCompose:
         # two full-inversion pulses with relative phase pi + phi/2
         phi = PI / 2
         u = Propagator(0.0, -1j)
-        total = compose(with_phase(u, PI + phi / 2.0), u)
+        total = sequence_propagator([0.0, PI + phi / 2.0], u)
         assert abs(total.a - cmath.exp(1j * PI / 4)) < 1e-15
         assert abs(total.b) < 1e-15
-
-    def test_matches_explicit_matrix_product(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            u, v = random_propagator(rng), random_propagator(rng)
-            got = compose(u, v).matrix()
-            want = u.matrix() @ v.matrix()
-            assert np.max(np.abs(got - want)) < 1e-15
 
     def test_relative_phase_identity(self):
         # total propagator of a pulse pair with relative phase chi, entrywise
@@ -86,7 +77,7 @@ class TestCompose:
         for _ in range(2000):
             u = random_propagator(rng)
             chi = rng.uniform(0.0, 2.0 * PI)
-            got = compose(with_phase(u, chi), u).matrix()
+            got = sequence_propagator([0.0, chi], u).matrix()
             a, b = u.a, u.b
             e = cmath.exp(1j * chi)
             want = np.array(
@@ -158,19 +149,15 @@ class TestTargetGate:
         [(0.0, 1.0 + 0j), (PI, 1j), (PI / 2, cmath.exp(1j * PI / 4))],
     )
     def test_diagonal_form(self, phase, a):
-        gate = target_gate_matrix(TargetGate(phase))
-        assert abs(gate.a - a) < 1e-15
-        assert gate.b == 0.0
-
-    def test_unit_determinant(self):
-        m = target_gate_matrix(TargetGate(2.3)).matrix()
-        assert abs(np.linalg.det(m) - 1.0) < 1e-15
+        # the ideal gate of TargetGate(phase) is diag(a, conj(a))
+        assert infidelity(Propagator(a, 0j), TargetGate(phase)) < 1e-15
 
 
 class TestInfidelity:
     def test_zero_on_target(self):
         target = TargetGate(0.7)
-        assert infidelity(target_gate_matrix(target), target) == 0.0
+        ideal = Propagator(complex(math.cos(0.35), math.sin(0.35)), 0j)
+        assert infidelity(ideal, target) == 0.0
 
     def test_opposite_diagonal_phases(self):
         # diag(-i, i) against diag(i, -i): each diagonal entry differs by 2
@@ -180,7 +167,7 @@ class TestInfidelity:
     @pytest.mark.parametrize("phi", [0.3, PI / 2, PI, -1.1])
     def test_exact_pi_pulse_pair_construction(self, phi):
         u = Propagator(math.cos(PI / 2), -1j * math.sin(PI / 2))
-        total = compose(with_phase(u, PI + phi / 2.0), u)
+        total = sequence_propagator([0.0, PI + phi / 2.0], u)
         assert infidelity(total, TargetGate(phi)) < 1e-12
 
     def test_bounded_between_zero_and_four(self):
@@ -190,14 +177,12 @@ class TestInfidelity:
             value = infidelity(u, TargetGate(rng.uniform(-2 * PI, 2 * PI)))
             assert 0.0 <= value <= 4.0
 
-    def test_phase_invariant_variant_ignores_global_sign(self):
+    def test_plain_metric_maxes_out_on_global_sign(self):
         # a global minus sign is the one global phase expressible in
         # Cayley-Klein form; the plain metric maxes out on it
         target = TargetGate(PI / 3)
-        u = target_gate_matrix(target)
-        flipped = Propagator(-u.a, -u.b)
+        flipped = Propagator(-cmath.exp(1j * PI / 6), 0j)
         assert infidelity(flipped, target) == pytest.approx(2 * math.sqrt(2), abs=1e-14)
-        assert phase_invariant_infidelity(flipped, target) < 1e-7
 
     def test_plain_metric_counts_global_phase(self):
         # documented behavior: the plain Frobenius distance is not quotiented

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -101,7 +102,7 @@ def _manifest(args) -> dict:
     skip = {"func", "argv"}
     resolved = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     return {
-        "command": " ".join(args.argv),
+        "command": shlex.join(args.argv),
         "resolved": ", ".join(f"{k}={v}" for k, v in resolved.items()),
         "library_version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),

@@ -24,7 +24,10 @@ duration T0:
 CSV output carries the full metadata as '#'-prefixed header lines followed
 by "x[,y],F" rows in scientific notation with 12 significant digits.  Axis
 bounds are written exactly, so write, read and write again gives the same
-bytes.
+bytes.  The writer formats each axis value once, into line templates
+"y,%.11e" of the inner axis, and fills a row (a curve is one row) from them
+with one '%' format per block of at most 8,192 lines, so the text it holds
+is bounded by the block and not by the grid.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ PARAMETERS = (
 
 _MAX_SAMPLES = 10_000_000  # per axis, and for the product of all axes
 _NOISE_FLOOR = 1e-13
+_BLOCK_LINES = 8192  # data lines per write at most: bounds the text held
 
 
 class ScanError(RuntimeError):
@@ -337,12 +341,6 @@ def high_fidelity_bandwidth(result: ScanResult, threshold: float) -> float:
 
 # --- CSV contract ---------------------------------------------------------
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def write_scan_csv(result: ScanResult, stream: IO[str],
                    extra_header: dict | None = None) -> None:
     """Write a scan in the CSV contract: '#' metadata lines, then data rows.
@@ -351,10 +349,9 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     timestamp) are emitted before the scan metadata.
     """
     stream.write("# cpgates-scan\n")
-    for key, value in (extra_header or {}).items():
-        stream.write(f"# {key}: {_format_value(value)}\n")
-    for key, value in result.metadata.items():
-        stream.write(f"# {key}: {_format_value(value)}\n")
+    for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
+        text = f"{value:.12g}" if isinstance(value, float) else str(value)
+        stream.write(f"# {key}: {text}\n")
     for i, ax in enumerate(result.axes):
         stream.write(
             f"# axis{i}: parameter={ax.parameter} spacing={ax.spacing} "
@@ -364,15 +361,15 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     names = ",".join(ax.parameter for ax in result.axes)
     stream.write(f"# columns: {names},infidelity\n")
 
-    grids = [ax.grid() for ax in result.axes]
-    if len(grids) == 1:
-        for x, v in zip(grids[0], result.values):
-            stream.write(f"{x:.11e},{v:.11e}\n")
-    else:
-        for i, x in enumerate(grids[0]):
-            row = result.values[i]
-            for y, v in zip(grids[1], row):
-                stream.write(f"{x:.11e},{y:.11e},{v:.11e}\n")
+    *outer, inner = (ax.grid() for ax in result.axes)
+    prefixes = (f"{x:.11e}," for x in outer[0]) if outer else ("",)
+    built = None
+    for prefix, row in zip(prefixes, result.values.reshape(-1, inner.size)):
+        for lo in range(0, inner.size, _BLOCK_LINES):
+            block = slice(lo, lo + _BLOCK_LINES)
+            if built != lo:  # per row only if the inner axis spans blocks
+                built, templates = lo, [f"{y:.11e},%.11e\n" for y in inner[block].tolist()]
+            stream.write((prefix + prefix.join(templates)) % tuple(row[block].tolist()))
 
 
 def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) -> None:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import shlex
 
 import numpy as np
 import pytest
@@ -167,8 +168,20 @@ class TestScanCommand:
         text = (tmp_path / "scan.csv").read_text()
         assert text.startswith("# cpgates-scan\n")
         assert "# created:" in text
+        # arguments that need no quoting are written as they were given
+        assert f"# command: {' '.join(self.BASE)}\n" in text
         rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert len(rows) == 21
+
+    def test_command_header_splits_back_into_the_argv(self, capsys, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "my dir").mkdir()
+        argv = [*self.BASE[:-1], "my dir/bb3's map.csv"]
+        assert run(capsys, *argv)[0] == 0
+        text = (tmp_path / "my dir" / "bb3's map.csv").read_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith("# command: "))
+        assert shlex.split(line.removeprefix("# command: ")) == argv
 
     def test_byte_identical_reruns(self, capsys, tmp_path, monkeypatch):
         for sub in ("a", "b"):

@@ -24,12 +24,13 @@ command, an integrated grid whose inputs repeat exactly is integrated once
 and handed out again; nothing is kept once the scope ends.
 
 Integration runs at :data:`DEFAULT_CONFIG` and over that window, both read
-at call time: a failed grid point comes back as NaN, and a single pulse
-whose propagator is not finite raises :class:`IntegrationError`.  A
-:class:`PulseSpec` whose generalized Rabi frequency times its duration
-overflows is rejected as bad input, so on a single pulse that error comes
-only from integration.  Only :func:`integrate_pulse_grid`, the integrator's
-own entry point, takes a window and an :class:`IntegratorConfig`.
+at call time, on the grid as given (a scan's block of at most 8,192 points).
+A failed grid point comes back as NaN, and a single pulse whose propagator
+is not finite raises :class:`IntegrationError`.  A :class:`PulseSpec` whose
+generalized Rabi frequency times its duration overflows is rejected as bad
+input, so on a single pulse that error comes only from integration.  Only
+:func:`integrate_pulse_grid`, the integrator's own entry point, takes a
+window and an :class:`IntegratorConfig`.
 
 Times are in arbitrary units; all physically meaningful inputs are the
 dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
@@ -69,8 +70,6 @@ DEFAULT_WINDOW_HALF_WIDTH = 25.0
 
 # the area convention: pulse area per unit Omega0*T, by envelope shape
 _AREA_PER_RABI_T = {"rectangular": 1.0, "sech": math.pi}
-
-_CHUNK = 4096  # points per integration chunk; bounds the integrator's memory
 
 # integrated grids of the open grid_reuse scope, by their exact inputs; None
 # outside any scope, so nothing is kept between commands
@@ -327,10 +326,10 @@ def constituent_grid(
     the closed form of :func:`rect_propagator_grid`, elementwise and in the
     shape of the inputs, scalars included.  Every other model is integrated
     by :func:`integrate_pulse_grid` at :data:`DEFAULT_CONFIG` over the window
-    of :data:`DEFAULT_WINDOW_HALF_WIDTH`, in fixed chunks of 4,096 points,
-    which bound the integrator's memory; it returns flat arrays, one point
-    for scalar inputs.  Every point has its own step control, so the bits of
-    a point do not depend on the batch it is integrated in.
+    of :data:`DEFAULT_WINDOW_HALF_WIDTH`, in one call on the grid given (a
+    scan's block bounds it, for both routes); it returns flat arrays, one
+    point for scalar inputs.  Every point has its own step control, so the
+    bits of a point do not depend on the batch it is integrated in.
 
     Arguments are as for :func:`integrate_pulse_grid`, without the window
     and the config.  A point whose integration missed its contract is NaN in
@@ -349,19 +348,11 @@ def constituent_grid(
         if key in reused:
             return reused[key]
 
-    m = omega0.size
-    a = np.empty(m, dtype=np.complex128)
-    b = np.empty(m, dtype=np.complex128)
     # a point that overflows or stalls comes back NaN, the one failure channel
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, m, _CHUNK):
-            sel = slice(lo, lo + _CHUNK)
-            chunk_a, chunk_b, ok, _ = integrate_pulse_grid(
-                shape, model, omega0[sel], duration[sel], rate[sel],
-                DEFAULT_WINDOW_HALF_WIDTH, DEFAULT_CONFIG,
-            )
-            a[sel] = np.where(ok, chunk_a, np.nan)
-            b[sel] = np.where(ok, chunk_b, np.nan)
+        a, b, ok, _ = integrate_pulse_grid(shape, model, omega0, duration, rate,
+                                           DEFAULT_WINDOW_HALF_WIDTH, DEFAULT_CONFIG)
+        a, b = np.where(ok, a, np.nan), np.where(ok, b, np.nan)
     if reused is not None:
         for arr in (a, b):
             arr.flags.writeable = False

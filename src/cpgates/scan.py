@@ -1,17 +1,17 @@
 """Parameter sweeps of composite-gate infidelity, plus diagnostic fits.
 
-A scan instantiates the constituent pulse at every grid point through
-:func:`cpgates.pulses.constituent_grid`, folds the composite sequence over the
-whole grid at once with :func:`cpgates.su2.fold`, and records
-:func:`cpgates.su2.gate_infidelity` against the ideal phase gate: the same
-kernels a single point query runs.  Grid points are pure function
-evaluations: closed-form grids are computed in one pass, integrated grids in
-fixed-size chunks with per-point step control, so repeated runs produce
-bitwise-identical output.  A scan holds at most 10,000,000 points in all,
-checked before any grid is built.  How accurately pulses are integrated is
-the pulse layer's business: a point whose integration missed its contract
-arrives as NaN, so a scan fails with :class:`ScanError` exactly when some
-infidelity is not finite, and the error carries every failing coordinate.
+A scan walks its flat grid in blocks of 8,192 points.  Each block goes
+through :func:`cpgates.pulses.constituent_grid`, :func:`cpgates.su2.fold`
+and :func:`cpgates.su2.gate_infidelity` against the ideal phase gate: the
+same kernels a single point query runs.  The block bounds the memory of
+both pulse routes and keeps the fold's arrays in cache.  Grid points are
+pure function evaluations and every block takes the same numpy loops, so a
+point's bits depend neither on the run nor on the size of its scan.  A scan
+holds at most 10,000,000 points in all, checked before any grid is built.
+How accurately pulses are integrated is the pulse layer's business: a point
+whose integration missed its contract arrives as NaN, so a scan fails with
+:class:`ScanError` exactly when some infidelity is not finite, and the error
+carries every failing coordinate.
 
 Swept parameters are dimensionless and always refer to the template pulse's
 duration T0:
@@ -66,7 +66,10 @@ PARAMETERS = (
 
 _MAX_SAMPLES = 10_000_000  # per axis, and for the product of all axes
 _NOISE_FLOOR = 1e-13
-_BLOCK_LINES = 8192  # data lines per write at most: bounds the text held
+# points per scan block and lines per CSV write: bounds the memory held, and
+# stays below numpy's 16,384-point (256 KiB complex) threshold for reusing
+# temporaries, past which other loops may round the last bit differently
+_BLOCK = 8192
 
 
 class ScanError(RuntimeError):
@@ -205,14 +208,17 @@ def _run_scan(
     # overflow and NaN surface as non-finite points, which _check_points
     # reports as a ScanError, so numpy need not warn about them on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega0, duration, rate = _apply_axes(template, axes, mesh)
-        a, b = constituent_grid(template.shape, template.model, omega0.ravel(),
-                                duration.ravel(), rate.ravel())
-        values = gate_infidelity(*fold(seq.phases, a, b), seq.gate_phase)
+        omega0, duration, rate = (v.ravel() for v in _apply_axes(template, axes, mesh))
+        values = np.empty(points)
+        for lo in range(0, points, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            a, b = constituent_grid(template.shape, template.model, omega0[block],
+                                    duration[block], rate[block])
+            values[block] = gate_infidelity(*fold(seq.phases, a, b), seq.gate_phase)
     _check_points(values, tuple(mesh))
     return ScanResult(
         axes=axes,
-        values=values.reshape(omega0.shape),
+        values=values.reshape(mesh[0].shape),
         metadata=_metadata(seq, template),
     )
 
@@ -365,8 +371,8 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     prefixes = (f"{x:.11e}," for x in outer[0]) if outer else ("",)
     built = None
     for prefix, row in zip(prefixes, result.values.reshape(-1, inner.size)):
-        for lo in range(0, inner.size, _BLOCK_LINES):
-            block = slice(lo, lo + _BLOCK_LINES)
+        for lo in range(0, inner.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
             if built != lo:  # per row only if the inner axis spans blocks
                 built, templates = lo, [f"{y:.11e},%.11e\n" for y in inner[block].tolist()]
             stream.write((prefix + prefix.join(templates)) % tuple(row[block].tolist()))

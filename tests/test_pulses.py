@@ -385,9 +385,10 @@ class TestConstituentDispatch:
 
 
 @pytest.mark.parametrize("model", ["constant", "tanh_chirp"])
-def test_chunked_grid_matches_any_sub_batch(model, monkeypatch):
-    # 4,900 points take two 4,096-point chunks; every point has its own step
-    # control, so any batch around it gives the same bits
+def test_grid_matches_any_sub_batch(model, monkeypatch):
+    # a 4,900-point integrated grid equals integrate_pulse_grid on any of its
+    # sub-batches bit for bit: every point has its own step control, so the
+    # batch around it does not matter
     rng = np.random.default_rng(21)
     omega0 = rng.uniform(0.2, 4.0, 4900)
     duration = rng.uniform(0.5, 1.5, 4900)

@@ -15,6 +15,7 @@ from .su2 import (
     fold,
     gate_infidelity,
     infidelity,
+    phase_gate,
     sequence_propagator,
     with_phase,
 )

@@ -2,8 +2,8 @@
 
 A scan walks its flat grid in blocks of 8,192 points.  Each block goes
 through :func:`cpgates.pulses.constituent_grid`, :func:`cpgates.su2.fold`
-and :func:`cpgates.su2.gate_infidelity` against the ideal phase gate: the
-same kernels a single point query runs.  The block bounds the memory of
+of the composite pulse, :func:`cpgates.su2.phase_gate` and the infidelity:
+the same kernels a single point query runs.  The block bounds the memory of
 both pulse routes and keeps the fold's arrays in cache.  Grid points are
 pure function evaluations and every block takes the same numpy loops, so a
 point's bits depend neither on the run nor on the size of its scan.  A scan
@@ -41,7 +41,7 @@ import numpy as np
 from . import pulses
 from .pulses import PulseSpec, constituent_grid
 from .sequences import CompositePhases, PhaseGateSequence
-from .su2 import fold, gate_infidelity
+from .su2 import fold, gate_infidelity, phase_gate
 
 __all__ = [
     "SweepAxis",
@@ -214,7 +214,8 @@ def _run_scan(
             block = slice(lo, lo + _BLOCK)
             a, b = constituent_grid(template.shape, template.model, omega0[block],
                                     duration[block], rate[block])
-            values[block] = gate_infidelity(*fold(seq.phases, a, b), seq.gate_phase)
+            gate = phase_gate(*fold(seq.source.phases, a, b), seq.gate_phase)
+            values[block] = gate_infidelity(*gate, seq.gate_phase)
     _check_points(values, tuple(mesh))
     return ScanResult(
         axes=axes,
@@ -299,9 +300,9 @@ def error_order(
 
     # duration 1, so the peak Rabi frequency equals the area
     a, b = constituent_grid("rectangular", "constant", area, np.ones_like(eps), delta_t)
-    ga, gb = fold(seq.phases, a, b)
+    ga, gb = fold(cp.phases, a, b)
     if isinstance(seq, PhaseGateSequence):
-        metric = gate_infidelity(ga, gb, seq.gate_phase)
+        metric = gate_infidelity(*phase_gate(ga, gb, seq.gate_phase), seq.gate_phase)
     else:
         metric = np.abs(ga)
     _check_points(metric, (eps,))

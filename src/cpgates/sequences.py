@@ -10,7 +10,8 @@ A phase gate with gate phase PHI is built from any such n-pulse CP by playing
 the CP twice, with every pulse of the second pass shifted by pi + PHI/2.
 When the CP inverts perfectly the 2n-pulse product is exactly
 diag(e^{i*PHI/2}, e^{-i*PHI/2}), and the gate inherits the CP's robustness
-order against the error the CP compensates.
+order against the error the CP compensates.  The gate folds the CP's n
+pulses once and closes the pair with :func:`cpgates.su2.phase_gate`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .su2 import Propagator, sequence_propagator
+from .su2 import Propagator, phase_gate, sequence_propagator
 
 __all__ = [
     "CompositePhases",
@@ -94,16 +95,25 @@ class CompositePhases:
 
 @dataclass(frozen=True)
 class PhaseGateSequence:
-    """The 2n field phases of a composite phase gate.
+    """A composite phase gate: a finite gate phase and its source CP.
 
-    The first half is the source CP verbatim; the second half is the same CP
-    with every phase shifted by pi + gate_phase/2 (mod 2*pi).  Earlier
-    entries act earlier in time.
+    ``phases`` derives the 2n field phases: the source CP verbatim, then the
+    same CP with every phase shifted by pi + gate_phase/2 (mod 2*pi).
+    Earlier entries act earlier in time.
     """
 
     gate_phase: float
-    phases: tuple[float, ...]
     source: CompositePhases
+
+    def __post_init__(self):
+        if not math.isfinite(self.gate_phase):
+            raise ValueError(f"gate phase must be finite, got {self.gate_phase!r}")
+
+    @property
+    def phases(self) -> tuple[float, ...]:
+        shift = math.pi + 0.5 * self.gate_phase
+        cp = self.source.phases
+        return tuple(cp) + tuple(_reduce(p + shift) for p in cp)
 
 
 def _reduce(phase: float) -> float:
@@ -193,16 +203,13 @@ def make_phase_gate_sequence(cp: CompositePhases, gate_phase: float) -> PhaseGat
     through gate_phase/2 only, so shifting it by 4*pi changes nothing.  A
     non-finite gate_phase raises ValueError.
     """
-    if not math.isfinite(gate_phase):
-        raise ValueError(f"gate phase must be finite, got {gate_phase!r}")
-    shift = math.pi + 0.5 * gate_phase
-    phases = tuple(cp.phases) + tuple(_reduce(p + shift) for p in cp.phases)
-    return PhaseGateSequence(gate_phase, phases, cp)
+    return PhaseGateSequence(gate_phase, cp)
 
 
 def gate_propagator(seq: PhaseGateSequence, pulse: Propagator) -> Propagator:
-    """Total propagator of the composite gate for one constituent pulse."""
-    return sequence_propagator(seq.phases, pulse)
+    """Total propagator of the gate: the CP's fold, closed by ``phase_gate``."""
+    u = sequence_propagator(seq.source.phases, pulse)
+    return Propagator(*phase_gate(u.a, u.b, seq.gate_phase))
 
 
 def _shipped() -> list[CompositePhases]:

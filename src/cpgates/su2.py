@@ -7,12 +7,12 @@ determinant and is stored here as the complex pair (a, b); the full matrix is
      [-conj(b),  conj(a)]].
 
 Everything in this module is exact algebra on such pairs: the field-phase
-shift, the one sequence product :func:`fold` and the one distance
-:func:`gate_infidelity` to the ideal phase gate diag(e^{i*phase/2},
-e^{-i*phase/2}).  Both work elementwise on Python complex numbers and on numpy
-arrays alike, so one point query and a whole scan grid run the same kernels;
-:func:`sequence_propagator` and :func:`infidelity` wrap them for a single
-:class:`Propagator`.  All values are immutable and all functions are pure.
+shift, the one product :func:`fold`, :func:`phase_gate`, which closes a
+composite pulse and its phased copy into the gate, and the one distance
+:func:`gate_infidelity` to the ideal gate diag(e^{i*phase/2}, e^{-i*phase/2}).
+All work elementwise on Python complex numbers and numpy arrays alike, so a
+point query and a scan grid run the same kernels; :func:`sequence_propagator`
+and :func:`infidelity` wrap them for one :class:`Propagator`.  All are pure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "TargetGate",
     "with_phase",
     "fold",
+    "phase_gate",
     "sequence_propagator",
     "gate_infidelity",
     "infidelity",
@@ -90,6 +91,16 @@ def fold(phases: Iterable[float], a, b):
         bk = b * complex(math.cos(phase), math.sin(phase))
         ga, gb = a * ga - bk * gb.conjugate(), a * gb + bk * ga.conjugate()
     return ga, gb
+
+
+def phase_gate(a, b, gate_phase: float):
+    """Gate of a composite pulse (a, b) and its copy phased by pi + gate_phase/2.
+
+    The copy is (a, -t*b), t = e^{i*gate_phase/2}, so the product is
+    (a^2 + t|b|^2, b(a - t*conj(a))): exact for any pair, unitary or not.
+    """
+    t = complex(math.cos(gate_phase / 2.0), math.sin(gate_phase / 2.0))
+    return a * a + t * (b * b.conjugate()), b * (a - t * a.conjugate())
 
 
 def sequence_propagator(phases: Iterable[float],

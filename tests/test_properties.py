@@ -26,6 +26,7 @@ from cpgates.su2 import (
     fold,
     gate_infidelity,
     infidelity,
+    phase_gate,
     sequence_propagator,
 )
 
@@ -37,6 +38,7 @@ SHIPPED = ([broadband_phases(n) for n in (1, 3, 5, 7, 9)]
 deterministic = settings(derandomize=True, database=None, deadline=None,
                          max_examples=40)
 angle = st.floats(0.0, 2.0 * PI)
+gate_phases = st.floats(-4.0 * PI, 4.0 * PI)
 # (theta, alpha, beta) of a = cos(theta/2) e^{i alpha}, b = sin(theta/2) e^{i beta}
 unit_pairs = st.lists(st.tuples(st.floats(0.0, PI), angle, angle),
                       min_size=1, max_size=8)
@@ -65,6 +67,62 @@ def test_scalar_and_grid_kernels_agree_on_every_shipped_sequence(drawn, phase):
             scalar = infidelity(sequence_propagator(seq.phases, pulse),
                                 TargetGate(seq.gate_phase))
             assert abs(scalar - grid[i]) <= 1e-14
+
+
+def matrix_chain(phases, a, b):
+    """Entries (0, 0) and (0, 1) of the 2x2 product of the phased pulses."""
+    total = np.broadcast_to(np.eye(2, dtype=complex), a.shape + (2, 2))
+    for p in phases:
+        bp = b * np.exp(1j * p)
+        pulse = np.array([[a, bp], [-bp.conj(), a.conj()]])
+        total = np.moveaxis(pulse, (0, 1), (-2, -1)) @ total
+    return total[..., 0, 0], total[..., 0, 1]
+
+
+@deterministic
+@given(unit_pairs, st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)), gate_phases)
+def test_gate_closure_matches_the_brute_force_chain(drawn, scales, phase):
+    # unit pairs, and pairs scaled off unitarity: the closure is exact algebra
+    unit_a, unit_b = pairs(drawn)
+    for a, b in ((unit_a, unit_b), (unit_a * scales[0], unit_b * scales[1])):
+        for cp in SHIPPED + [broadband_phases(25)]:
+            want = matrix_chain(make_phase_gate_sequence(cp, phase).phases, a, b)
+            tol = 1e-14 * np.maximum(1.0, np.abs(want[0]) + np.abs(want[1]))
+            grid = phase_gate(*fold(cp.phases, a, b), phase)
+            for got, ref in zip(grid, want):
+                assert np.all(np.abs(got - ref) <= tol)
+            for i in range(a.size):
+                scalar = phase_gate(*fold(cp.phases, complex(a[i]), complex(b[i])), phase)
+                for got, ref in zip(scalar, want):
+                    assert abs(got - ref[i]) <= tol[i]
+
+
+@deterministic
+@given(unit_pairs, angle)
+def test_gate_propagator_and_scan_kernel_agree_on_every_shipped_sequence(drawn, phase):
+    a, b = pairs(drawn)
+    for cp in SHIPPED:
+        seq = make_phase_gate_sequence(cp, phase)
+        gate = phase_gate(*fold(seq.source.phases, a, b), seq.gate_phase)
+        grid = gate_infidelity(*gate, seq.gate_phase)
+        for i in range(a.size):
+            pulse = Propagator(complex(a[i]), complex(b[i]))
+            scalar = infidelity(gate_propagator(seq, pulse), TargetGate(seq.gate_phase))
+            assert abs(scalar - grid[i]) <= 1e-14
+
+
+@deterministic
+@given(unit_pairs, gate_phases)
+def test_gate_error_depends_only_on_the_composite_pulses_a(drawn, phase):
+    # for a unitary CP (A, B) the gate misses its target by
+    # 2*sqrt(2)*|Im(A e^{-i*phase/4})|, so it inherits the order of |A|
+    for cp in SHIPPED:
+        big_a, big_b = matrix_chain(cp.phases, *pairs(drawn))
+        error = gate_infidelity(*phase_gate(big_a, big_b, phase), phase)
+        bound = 2.0 * math.sqrt(2.0) * np.abs(big_a)
+        want = 2.0 * math.sqrt(2.0) * np.abs((big_a * np.exp(-0.25j * phase)).imag)
+        assert np.all(np.abs(error - want) <= 1e-14)
+        assert np.all(error <= bound + 1e-14)
 
 
 @deterministic

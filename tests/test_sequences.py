@@ -9,6 +9,7 @@ from cpgates.pulses import resonant_rect_propagator, transition_probability
 from cpgates.sequences import (
     DETUNING_VARIANTS,
     UNIVERSAL_VARIANTS,
+    PhaseGateSequence,
     broadband_phases,
     composite_phases,
     detuning_phases,
@@ -194,6 +195,14 @@ class TestGateConstruction:
         seq = make_phase_gate_sequence(cp, 0.1)
         assert seq.source is cp
         assert len(seq.phases) == 2 * cp.n_pulses
+
+    def test_phases_derive_from_gate_phase_and_source(self):
+        cp = universal_phases("U5a")
+        seq = PhaseGateSequence(0.37, cp)
+        assert seq == make_phase_gate_sequence(cp, 0.37)
+        assert seq.phases[:5] == cp.phases
+        with pytest.raises(ValueError, match="gate phase must be finite"):
+            PhaseGateSequence(math.inf, cp)
 
 
 class TestGatePropagator:

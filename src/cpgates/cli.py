@@ -6,13 +6,15 @@ transcendentals.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 3 numerical failure.
 
 ``fidelity`` runs the same propagator, fold and infidelity kernels as
-``scan`` and ``preset``, on one point.  ``preset`` runs its jobs inside one
+``scan`` and ``preset``, on one point.  Pulses with a constant detuning take
+a closed form (Rabi for rect, Rosen-Zener for sech); only tanh-chirped sech
+pulses are integrated.  ``preset`` runs its jobs inside one
 :func:`cpgates.pulses.grid_reuse` scope, so jobs that share a constituent grid
-of integrated pulses (all of fig2, and the two gate phases of each fig3
-sequence) integrate it once per command.  Each job still runs its own scan
+of integrated pulses (all of fig2) integrate it once per command; fig3 takes
+the closed form and integrates nothing.  Each job still runs its own scan
 and writes the bytes it would write alone.  Everything runs in the calling
 thread.  The command line sets no integration tolerances: the pulse layer
-integrates at its own accuracy contract, and a point that misses it exits 3.
+keeps its own accuracy contract, and a point that misses it exits 3.
 A pulse flag that the chosen pulse would ignore is a usage error.
 """
 

@@ -14,23 +14,28 @@ therefore sees one fixed constituent propagator, phased pulse by pulse.
 A pulse is named by the same strings everywhere: a shape ("rectangular" or
 "sech") and a detuning model ("constant" or "tanh_chirp") with its rate.
 :func:`constituent_grid` is the one entry point and the one route choice;
-:func:`constituent_propagator` calls it at a single point.  Rectangular
-pulses with a constant detuning, resonant or not, take the closed Rabi form
-of :func:`rect_propagator_grid`, on scalars as on arrays; every other model
-is integrated numerically by :func:`integrate_pulse_grid`, sech pulses over
-the fixed window of :data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side.
-Inside a :func:`grid_reuse` scope, which ``cpgates preset`` opens for one
-command, an integrated grid whose inputs repeat exactly is integrated once
-and handed out again; nothing is kept once the scope ends.
+:func:`constituent_propagator` calls it at a single point.  Every pulse with
+a constant detuning, resonant or not, takes a closed form, on scalars as on
+arrays: rectangular pulses the Rabi form of :func:`rect_propagator_grid`,
+sech pulses the Rosen-Zener form of :func:`_rosen_zener_grid`.  Only the
+tanh-chirped model is integrated numerically, by
+:func:`integrate_pulse_grid`, sech pulses over the fixed window of
+:data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side.  Inside a
+:func:`grid_reuse` scope, which ``cpgates preset`` opens for one command, an
+integrated grid whose inputs repeat exactly is integrated once and handed
+out again; nothing is kept once the scope ends.
 
 Integration runs at :data:`DEFAULT_CONFIG` and over that window, both read
 at call time, on the grid as given (a scan's block of at most 8,192 points).
+The Rosen-Zener form keeps the same contract: where rounding could cost its
+phase more than ``DEFAULT_CONFIG.rel_tol``, which happens only beyond
+|Delta*T| of about 4,200, near where integration ran out of steps, it does
+not guess.
 A failed grid point comes back as NaN, and a single pulse whose propagator
 is not finite raises :class:`IntegrationError`.  A :class:`PulseSpec` whose
 generalized Rabi frequency times its duration overflows is rejected as bad
-input, so on a single pulse that error comes only from integration.  Only
-:func:`integrate_pulse_grid`, the integrator's own entry point, takes a
-window and an :class:`IntegratorConfig`.
+input.  Only :func:`integrate_pulse_grid`, the integrator's own entry point,
+takes a window and an :class:`IntegratorConfig`.
 
 Times are in arbitrary units; all physically meaningful inputs are the
 dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
@@ -63,10 +68,17 @@ __all__ = [
     "transition_probability",
 ]
 
-#: Truncation of the sech window, in units of the width parameter T.
-#: The neglected tail changes the propagator by about 2*Omega0*T*exp(-w),
-#: which stays below 1e-8 for Omega0*T <= 20 at w = 25.
+#: Truncation of the integrated (tanh-chirped) sech window, in units of the
+#: width parameter T.  The neglected tail changes the propagator by about
+#: 2*Omega0*T*exp(-w), which stays below 1e-8 for Omega0*T <= 20 at w = 25.
+#: The Rosen-Zener form has no tail; it takes w only for the phase of b, so
+#: that it keeps the window-start convention of the integrated route.
 DEFAULT_WINDOW_HALF_WIDTH = 25.0
+
+# Lanczos coefficients, g = 7, nine terms
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
 
 # the area convention: pulse area per unit Omega0*T, by envelope shape
 _AREA_PER_RABI_T = {"rectangular": 1.0, "sech": math.pi}
@@ -86,8 +98,9 @@ class PulseSpec:
     shape : {"rectangular", "sech"}
         Envelope model.  Rectangular pulses run over [0, duration] at
         constant peak_rabi; sech pulses are Omega(t) = peak_rabi * sech(t/T)
-        with T = duration (the width parameter, not the full length),
-        integrated over [-w*T, +w*T] with w = DEFAULT_WINDOW_HALF_WIDTH.
+        with T = duration (the width parameter, not the full length), in
+        closed form over all time at a constant detuning, and integrated
+        over [-w*T, +w*T] with w = DEFAULT_WINDOW_HALF_WIDTH when chirped.
     peak_rabi : float
         Peak Rabi frequency Omega_0 >= 0, rad/time.
     duration : float
@@ -171,7 +184,7 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a pulse integration cannot meet its contract."""
+    """Raised when a pulse propagator cannot meet its accuracy contract."""
 
 
 def resonant_rect_propagator(area: float) -> Propagator:
@@ -221,6 +234,85 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax - math.log(2.0) + np.log1p(np.exp(-2.0 * ax))
 
 
+def _sincospi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin(pi x) and cos(pi x), with exact zeros at integers and half-integers."""
+    r = np.fmod(x, 2.0)  # exact
+    quarter = np.rint(2.0 * r)
+    f = np.pi * (r - 0.5 * quarter)  # r - quarter/2 is exact; |f| <= pi/4
+    s, c = np.sin(f), np.cos(f)
+    k = quarter % 4
+    odd = (k == 1) | (k == 3)
+    sin = np.where(odd, c, s) * np.where(k >= 2, -1.0, 1.0)
+    cos = np.where(odd, s, c) * np.where((k == 1) | (k == 2), -1.0, 1.0)
+    return sin, cos
+
+
+def _log_gamma(z) -> np.ndarray:
+    """Complex ln Gamma(z) on the branch of ``scipy.special.loggamma``.
+
+    Lanczos's series with g = 7 and nine terms (Lanczos, SIAM J. Numer.
+    Anal. B 1, 86, 1964) for Re z >= 1/2, and the reflection
+    ln Gamma(z) = ln pi - ln sin(pi z) - ln Gamma(1 - z) below, with
+    ln|sin(pi z)| in a form that cannot overflow at large |Im z|.  Im ln
+    Gamma carries a rounding error of a few eps times its own size.
+    """
+    z = np.asarray(z, dtype=complex)
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z) - 1.0
+    series = _LANCZOS[0] + sum(c / (w + k) for k, c in enumerate(_LANCZOS[1:], 1))
+    t = w + 7.5
+    lg = 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * np.log(t) - t + np.log(series)
+    if not left.any():
+        return lg
+    s, c = _sincospi(z.real)
+    y = np.pi * z.imag
+    # |sin(pi z)|^2 = sin^2(pi x) + sinh^2(pi y), scaled by e^{-2|pi y|}
+    u = np.exp(-2.0 * np.abs(y))
+    log_abs_sin = (np.abs(y) - math.log(2.0)
+                   + 0.5 * np.log(4.0 * s * s * u + np.expm1(-2.0 * np.abs(y)) ** 2))
+    arg_sin = np.arctan2(c * np.tanh(y), s)
+    branch = np.copysign(2.0 * np.pi, z.imag) * np.floor(0.5 * z.real + 0.25)
+    reflected = math.log(math.pi) - log_abs_sin + 1j * (branch - arg_sin) - lg
+    return np.where(left, reflected, lg)
+
+
+def _rosen_zener_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (a, b) of sech pulses with a constant detuning.
+
+    Elementwise over arrays, scalars included.  With alpha = Omega0*T/2,
+    delta = Delta*T/2 and z = 1/2 + i*delta (Rosen & Zener, Phys. Rev. 40,
+    502, 1932),
+
+        a = Gamma(z)^2 / (Gamma(z + alpha) Gamma(z - alpha))
+          = (cos(pi alpha) + i sin(pi alpha) tanh(pi delta))
+            * exp(2i (arg Gamma(z) - arg Gamma(z + alpha))),
+        b = -i sin(pi alpha) sech(pi delta) e^{-i Delta T w},
+
+    with w = DEFAULT_WINDOW_HALF_WIDTH.  The second form of a follows from
+    reflection, 1/Gamma(z - alpha) = Gamma(1 - z + alpha) sin(pi (z - alpha))
+    / pi with Gamma(1 - z + alpha) the conjugate of Gamma(z + alpha), and
+    from |Gamma(z)|^2 = pi / cosh(pi delta): the large real parts of the log
+    gammas cancel exactly, so |a| and |b| carry only rounding, nothing
+    overflows, and the poles of Gamma(z - alpha) give exact zeros.  The phase
+    on b is the window start's and is common to every pulse of a sequence.
+    Where rounding in the two log gammas could move the phase of a by more
+    than ``DEFAULT_CONFIG.rel_tol``, a and b are NaN.
+    """
+    alpha = 0.5 * np.asarray(omega0, dtype=float) * duration
+    delta_t = np.asarray(detuning, dtype=float) * duration
+    y = 0.5 * np.pi * delta_t
+    s, c = _sincospi(alpha)
+    sech = np.exp(-_log_cosh(y))
+    z = 0.5 + 0.5j * delta_t
+    arg = _log_gamma(np.stack(np.broadcast_arrays(z, z + alpha))).imag
+    a = (c + 1j * s * np.tanh(y)) * np.exp(2j * (arg[0] - arg[1]))
+    b = -1j * s * sech * np.exp(-1j * DEFAULT_WINDOW_HALF_WIDTH * delta_t)
+    # a few eps of each |arg Gamma| (see _log_gamma), both doubled, with margin
+    unresolved = 16.0 * np.finfo(float).eps * (np.abs(arg[0]) + np.abs(arg[1]))
+    ok = (unresolved <= DEFAULT_CONFIG.rel_tol) & np.isfinite(a) & np.isfinite(b)
+    return np.where(ok, a, np.nan), np.where(ok, b, np.nan)
+
+
 def integrate_pulse_grid(
     shape: str,
     model: str,
@@ -237,9 +329,9 @@ def integrate_pulse_grid(
     over ``window_half_width`` widths on each side of their centre.  Returns
     flat arrays (a, b) of Cayley-Klein parameters, a boolean success mask
     and the step attempts per pulse.  Zero-duration entries come back as the
-    identity.  Rectangular pulses normally take their closed form (see
-    :func:`constituent_grid`); they are integrated here only to check the
-    integrator against that form.
+    identity.  Pulses with a constant detuning normally take their closed
+    form (see :func:`constituent_grid`); they are integrated here only to
+    check the integrator against that form, and that form against it.
     """
     omega0 = np.asarray(omega0, dtype=float)
     duration = np.asarray(duration, dtype=float)
@@ -322,23 +414,28 @@ def constituent_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagators of pulses sharing one shape and detuning model.
 
-    The one route choice.  Rectangular pulses with a constant detuning take
-    the closed form of :func:`rect_propagator_grid`, elementwise and in the
-    shape of the inputs, scalars included.  Every other model is integrated
-    by :func:`integrate_pulse_grid` at :data:`DEFAULT_CONFIG` over the window
-    of :data:`DEFAULT_WINDOW_HALF_WIDTH`, in one call on the grid given (a
-    scan's block bounds it, for both routes); it returns flat arrays, one
+    The one route choice.  Pulses with a constant detuning take a closed
+    form, elementwise and in the shape of the inputs, scalars included:
+    rectangular pulses the Rabi form of :func:`rect_propagator_grid`, sech
+    pulses the Rosen-Zener form of :func:`_rosen_zener_grid`.  Tanh-chirped
+    pulses are integrated by :func:`integrate_pulse_grid` at
+    :data:`DEFAULT_CONFIG` over the window of
+    :data:`DEFAULT_WINDOW_HALF_WIDTH`, in one call on the grid given (a
+    scan's block bounds it, for every route); that returns flat arrays, one
     point for scalar inputs.  Every point has its own step control, so the
     bits of a point do not depend on the batch it is integrated in.
 
     Arguments are as for :func:`integrate_pulse_grid`, without the window
-    and the config.  A point whose integration missed its contract is NaN in
-    both a and b, and numpy does not warn on the way.  Inside a
-    :func:`grid_reuse` scope an integrated grid seen before is not
-    integrated again.
+    and the config.  A point whose integration missed its contract, or whose
+    Rosen-Zener phase cannot be resolved to that contract, is NaN in both a
+    and b, and numpy does not warn on the way.  Inside a :func:`grid_reuse`
+    scope an integrated grid seen before is not integrated again.
     """
-    if shape == "rectangular" and model == "constant":
-        return rect_propagator_grid(omega0, duration, rate)
+    if model == "constant":
+        if shape == "rectangular":
+            return rect_propagator_grid(omega0, duration, rate)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _rosen_zener_grid(omega0, duration, rate)
 
     omega0, duration, rate = (np.atleast_1d(np.asarray(v, dtype=float))
                               for v in (omega0, duration, rate))
@@ -363,22 +460,24 @@ def constituent_grid(
 def constituent_propagator(spec: PulseSpec) -> Propagator:
     """Propagator of one constituent pulse: :func:`constituent_grid` at one point.
 
-    The spec's floats go in as scalars, so rectangular pulses with a
-    constant detuning take the closed form on floats, and every other model
-    integrates as a one-point grid.
+    The spec's floats go in as scalars, so pulses with a constant detuning
+    take their closed form on floats, and tanh-chirped pulses integrate as a
+    one-point grid.
 
     Raises
     ------
     IntegrationError
         If the propagator is not finite: an integrated pulse overflowed or
-        missed its accuracy contract.  The closed form is finite for every
-        valid spec.
+        missed its accuracy contract, or the Rosen-Zener phase could not be
+        resolved to that contract.  The Rabi form is finite for every valid
+        spec.
     """
     a, b = constituent_grid(spec.shape, spec.model, spec.peak_rabi,
                             spec.duration, spec.rate)
     prop = Propagator(a.item(), b.item())
     if not (cmath.isfinite(prop.a) and cmath.isfinite(prop.b)):
+        route = "integration" if spec.model == "tanh_chirp" else "closed form"
         raise IntegrationError(
-            f"pulse integration failed: {spec} overflowed or missed the "
+            f"pulse {route} failed: {spec} overflowed or missed the "
             f"accuracy contract (rel_tol {DEFAULT_CONFIG.rel_tol:g})")
     return prop

@@ -8,8 +8,8 @@ both pulse routes and keeps the fold's arrays in cache.  Grid points are
 pure function evaluations and every block takes the same numpy loops, so a
 point's bits depend neither on the run nor on the size of its scan.  A scan
 holds at most 10,000,000 points in all, checked before any grid is built.
-How accurately pulses are integrated is the pulse layer's business: a point
-whose integration missed its contract arrives as NaN, so a scan fails with
+How accurately pulses are computed is the pulse layer's business: a point
+that missed its accuracy contract arrives as NaN, so a scan fails with
 :class:`ScanError` exactly when some infidelity is not finite, and the error
 carries every failing coordinate.
 
@@ -173,7 +173,7 @@ def _check_points(metric: np.ndarray, coords: tuple[np.ndarray, ...]) -> None:
     where = np.stack([c.ravel()[bad] for c in coords], axis=1)
     shown = ", ".join(str(tuple(map(float, row))) for row in where[:5])
     raise ScanError(
-        f"{len(where)} grid point(s) failed (pulse integration missed its "
+        f"{len(where)} grid point(s) failed (a pulse missed its accuracy "
         f"contract or the infidelity is not finite); first at coordinates "
         f"{shown}",
         coordinates=where,

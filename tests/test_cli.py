@@ -6,6 +6,7 @@ import shlex
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from cpgates import pulses
 from cpgates.cli import main
@@ -13,11 +14,12 @@ from cpgates.presets import preset_jobs
 from cpgates.pulses import PulseSpec, constituent_propagator
 from cpgates.sequences import (
     broadband_phases,
+    detuning_phases,
     gate_propagator,
     make_phase_gate_sequence,
 )
 from cpgates.scan import scan_1d, write_scan_csv
-from cpgates.su2 import TargetGate, infidelity
+from cpgates.su2 import Propagator, TargetGate, infidelity
 
 PI = math.pi
 
@@ -108,10 +110,32 @@ class TestFidelityCommand:
         for rabi_t in ("1e30", "1e300"):
             code, _, err = run(capsys, "fidelity", "--family", "broadband",
                                "--variant", "n3", "--phase-pi", "0.5",
-                               "--pulse", "sech", "--rabi-t", rabi_t)
+                               "--pulse", "sech", "--rabi-t", rabi_t,
+                               "--chirp-t", "1")
             assert code == 3
             assert err.startswith("numerical failure: pulse integration failed")
             assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_sech_pulses_are_right_or_fail(self, capsys):
+        # Omega0*T = 1e300 is an even number of half turns, so b = 0 and a is
+        # the Rosen-Zener phase, here on scipy's log-gamma; Delta*T = 1e300
+        # is past what the closed form resolves
+        argv = ("fidelity", "--family", "detuning", "--variant", "n5",
+                "--phase-pi", "0.5", "--pulse", "sech", "--rabi-t", "1e300")
+        code, out, _ = run(capsys, *argv, "--detuning-t", "0.3")
+        assert code == 0
+        z = complex(0.5, 0.15)
+        phase = 2.0 * (loggamma(z).imag - loggamma(z + 5e299).imag)
+        pulse = Propagator(complex(math.cos(phase), math.sin(phase)), 0j)
+        seq = make_phase_gate_sequence(detuning_phases("n5"), PI / 2)
+        want = infidelity(gate_propagator(seq, pulse), TargetGate(PI / 2))
+        assert float(out.strip()) == pytest.approx(want, rel=1e-11)
+
+        code, out, err = run(capsys, *argv, "--detuning-t", "1e300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: pulse closed form failed")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_rect_pulse_is_bad_input(self, capsys):
@@ -238,13 +262,17 @@ class TestScanCommand:
     @pytest.mark.filterwarnings("error")
     def test_sech_overflow_fails_without_warnings(self, capsys, tmp_path,
                                                   monkeypatch):
-        # the integrated route fails the scan as quietly as the closed form
+        # the integrated route (chirped areas up to 1e308) and the Rosen-Zener
+        # form (detunings up to 1e308) fail the scan as quietly as the Rabi form
         monkeypatch.chdir(tmp_path)
-        code, _, err = run(capsys, *self.BASE[:9], "--range", "0:1e308",
-                           *self.BASE[11:], "--pulse", "sech")
-        assert code == 3
-        assert err.startswith("numerical failure: ")
-        assert err.count("\n") == 1
+        for axis, pulse in (("pulse_area_fraction", ("--chirp-t", "1")),
+                            ("detuning_times_T", ())):
+            code, _, err = run(capsys, *self.BASE[:7], "--axis", axis,
+                               "--range", "0:1e308", *self.BASE[11:],
+                               "--pulse", "sech", *pulse)
+            assert code == 3
+            assert err.startswith("numerical failure: ")
+            assert err.count("\n") == 1
 
     def test_non_finite_gate_phase_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -300,7 +328,7 @@ class TestPresetCommand:
         assert code == 0
         assert len(list(tmp_path.glob("fig3_*.csv"))) == 6
 
-    @pytest.mark.parametrize("name, grids", [("fig2", 1), ("fig3", 3)])
+    @pytest.mark.parametrize("name, grids", [("fig2", 1), ("fig3", 0)])
     def test_shared_grids_integrate_once_per_command(self, capsys, tmp_path,
                                                      monkeypatch, name, grids):
         calls = []

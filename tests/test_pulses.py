@@ -85,6 +85,20 @@ def scipy_reference(spec: PulseSpec):
     return c1, -np.conj(c2)
 
 
+@pytest.fixture
+def integrations(monkeypatch):
+    """The (shape, model) of every integrate_pulse_grid call the pulse layer makes."""
+    calls = []
+    original = pulses.integrate_pulse_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "integrate_pulse_grid", counted)
+    return calls
+
+
 class TestResonantRect:
     def test_pi_pulse_inverts(self):
         u = resonant_rect_propagator(PI)
@@ -138,7 +152,7 @@ class TestPulseSpecValidation:
             PulseSpec("rectangular", 1.6e308, 1.0, "constant", 1.7e308)
         with pytest.raises(ValueError, match="overflows"):
             PulseSpec("sech", 1e300, 1e10)
-        PulseSpec("sech", 1e300, 1.0)  # finite: fails in integration, if at all
+        PulseSpec("sech", 1e300, 1.0)  # finite: a closed form or NaN, never an overflow
 
     def test_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -360,11 +374,19 @@ class TestConstituentDispatch:
         assert abs(got.b - want[0, 1]) < 1e-12
         assert got.unitarity_defect() < 1e-12
 
-    def test_sech_is_integrated(self):
-        got = constituent_propagator(PulseSpec.sech(1.0))
-        assert abs(got.a) < 1e-8
+    def test_chirped_sech_is_integrated(self, integrations):
+        spec = PulseSpec.sech(1.0, chirp_rate=0.5)
+        got = constituent_propagator(spec)
+        assert integrations == [("sech", "tanh_chirp")]
+        want = integrate_one(spec)
+        assert (got.a, got.b) == (want.a, want.b)
 
-    @pytest.mark.parametrize("spec", [PulseSpec.sech(1.7, detuning=0.4),
+    def test_constant_sech_takes_the_rosen_zener_form(self, integrations):
+        got = constituent_propagator(PulseSpec.sech(1.0))
+        assert integrations == []
+        assert got.a == 0 and got.b == -1j  # Gamma(1/2 - 1/2) is a pole
+
+    @pytest.mark.parametrize("spec", [PulseSpec.sech(1.7, chirp_rate=-0.4),
                                       PulseSpec.sech(2.5, chirp_rate=1.0)])
     def test_sech_is_a_one_point_grid(self, spec):
         got = constituent_propagator(spec)
@@ -388,14 +410,20 @@ class TestConstituentDispatch:
 def test_grid_matches_any_sub_batch(model, monkeypatch):
     # a 4,900-point integrated grid equals integrate_pulse_grid on any of its
     # sub-batches bit for bit: every point has its own step control, so the
-    # batch around it does not matter
+    # batch around it does not matter.  constituent_grid integrates only the
+    # chirp, so the constant model holds the integrator to it directly
     rng = np.random.default_rng(21)
     omega0 = rng.uniform(0.2, 4.0, 4900)
     duration = rng.uniform(0.5, 1.5, 4900)
     rate = rng.uniform(-2.0, 2.0, 4900)
     loose = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
     monkeypatch.setattr(pulses, "DEFAULT_CONFIG", loose)  # keeps the test fast
-    whole = constituent_grid("sech", model, omega0, duration, rate)
+    if model == "constant":
+        *whole, ok, _ = integrate_pulse_grid("sech", model, omega0, duration, rate,
+                                             25.0, loose)
+        assert ok.all()
+    else:
+        whole = constituent_grid("sech", model, omega0, duration, rate)
     for sel in (slice(3, 10), slice(4095, 4100), slice(17, 4900)):
         a, b, ok, _ = integrate_pulse_grid("sech", model, omega0[sel], duration[sel],
                                         rate[sel], 25.0, loose)
@@ -407,8 +435,8 @@ def test_grid_matches_any_sub_batch(model, monkeypatch):
 def test_failed_grid_points_come_back_as_nan(monkeypatch):
     # the grid's only failure channel: NaN where the contract was missed
     monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
-    a, b = constituent_grid("sech", "constant", np.array([0.0, 1.0]),
-                            np.array([0.0, 1.0]), np.zeros(2))
+    a, b = constituent_grid("sech", "tanh_chirp", np.array([0.0, 1.0]),
+                            np.array([0.0, 1.0]), np.ones(2))
     assert (a[0], b[0]) == (1.0, 0.0)  # zero duration needs no step
     assert np.isnan(a[1]) and np.isnan(b[1])
 
@@ -419,18 +447,6 @@ class TestGridReuse:
     def grid(self, rate=1.0):
         return constituent_grid("sech", "tanh_chirp", self.RABI, np.ones(7),
                                 np.full(7, rate))
-
-    @pytest.fixture
-    def integrations(self, monkeypatch):
-        calls = []
-        original = pulses.integrate_pulse_grid
-
-        def counted(*args, **kwargs):
-            calls.append(args[:2])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pulses, "integrate_pulse_grid", counted)
-        return calls
 
     def test_repeat_returns_the_same_read_only_bits(self, integrations):
         alone = self.grid()

@@ -142,12 +142,12 @@ class TestScan1D:
         assert "6.75" not in message  # the message shows the first five
 
     def test_every_failing_map_point_comes_back(self, monkeypatch):
-        # 2 x 6 failing points of a sech map, listed row-major as (x, y)
+        # 2 x 6 failing points of a chirped sech map, listed row-major as (x, y)
         monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
         ax = SweepAxis("duration_fraction", 0.5, 1.5, 2)
-        ay = SweepAxis("detuning_times_T", -1.0, 1.0, 6)
+        ay = SweepAxis("peak_rabi_times_T", 0.5, 3.0, 6)
         with pytest.raises(ScanError) as err:
-            scan_2d(ax, ay, bb_gate(1), PulseSpec.sech(1.0))
+            scan_2d(ax, ay, bb_gate(1), PulseSpec.sech(1.0, chirp_rate=1.0))
         coords = err.value.coordinates
         assert coords.shape == (12, 2)
         xs, ys = np.meshgrid(ax.grid(), ay.grid(), indexing="ij")

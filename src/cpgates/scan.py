@@ -24,10 +24,12 @@ duration T0:
 CSV output carries the full metadata as '#'-prefixed header lines followed
 by "x[,y],F" rows in scientific notation with 12 significant digits.  Axis
 bounds are written exactly, so write, read and write again gives the same
-bytes.  The writer formats each axis value once, into line templates
-"y,%.11e" of the inner axis, and fills a row (a curve is one row) from them
-with one '%' format per block of at most 8,192 lines, so the text it holds
-is bounded by the block and not by the grid.
+bytes.  The writer spells the digits of a block of whole rows (at most
+8,192 values) in numpy, byte for byte Python's "%.11e": integer arithmetic
+on a 12-digit mantissa scaled to within 2.3e-4, with Python's own format
+for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
+finite.  The text it holds is bounded by the block and not by the grid.
+Reading checks every row's coordinates against the axes.
 """
 
 from __future__ import annotations
@@ -348,12 +350,79 @@ def high_fidelity_bandwidth(result: ScanResult, threshold: float) -> float:
 
 # --- CSV contract ---------------------------------------------------------
 
+# the widest "%.11e" text, "-1.00000000000e+100"
+_FIELD = 19
+# 10**k correctly rounded for k = -88..110: the scale 10**(11 - e) of a
+# decimal exponent |e| < 100 sits at index 99 - e
+_POW10 = np.array([float(f"1e{k}") for k in range(-88, 111)])
+# columns of the six leading and the six trailing mantissa digits, last
+# digit first; "." is column 2
+_DIGIT_COLUMNS = ((7, 6, 5, 4, 3, 1), (13, 12, 11, 10, 9, 8))
+
+
+def _format_e11(values: np.ndarray) -> np.ndarray:
+    """``b"%.11e" % v`` of every value, one row of 19 ASCII codes each.
+
+    Column 0 holds "-" or NUL, and NULs pad each text to 19 codes.  The
+    exponent comes from ``log10``, the 12-digit mantissa is
+    ``rint(|v| * 10**(11 - e))``, and integer division spells its digits.
+    The scaled value is within 2.3e-4 of its exact value (one rounding in
+    the power of ten and one in the product), so ``rint`` decides exactly
+    unless the fraction lies within 1e-3 of one half.  Those values, and
+    |e| >= 100, NaN and infinities, take Python's own ``%.11e``; about 0.2%
+    of random doubles do.  Zero and a mantissa that carries into the next
+    power of ten stay on the integer path.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(v)
+    text = np.zeros((v.size, _FIELD), np.uint8)
+    # rows of slow values, NaN and infinities among them, are overwritten
+    # with Python's text at the end, whatever digits they got
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(mag))
+        e[mag == 0] = 0
+        slow = ~(np.abs(e) < 100)
+        e[slow] = 0
+        scaled = mag * _POW10[99 - e.astype(np.intp)]
+        mantissa = np.rint(scaled)
+        # outside [1e11, 1e12] only if log10 erred by more than rounding
+        slow |= ((np.abs(scaled - np.floor(scaled) - 0.5) < 1e-3)
+                 | ~((mantissa >= 1e11) & (mantissa <= 1e12)))
+        carry = mantissa == 1e12
+        mantissa[carry] = 1e11
+        e += carry
+        slow |= e > 99
+
+        text[:, 0] = np.signbit(v) * ord("-")
+        text[:, 2] = ord(".")
+        text[:, 14] = ord("e")
+        text[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+        exponent = np.abs(e).astype(np.int32)
+        text[:, 16] = exponent // 10 + ord("0")
+        text[:, 17] = exponent % 10 + ord("0")
+        # int32 division by a constant is fast; split the mantissa in halves
+        high = np.floor(mantissa / 1e6)
+        for half, columns in zip((high, mantissa - high * 1e6), _DIGIT_COLUMNS):
+            rest = half.astype(np.int32)
+            for column in columns:
+                quotient = rest // 10
+                text[:, column] = rest - 10 * quotient + ord("0")
+                rest = quotient
+    slow = np.flatnonzero(slow)
+    python = np.array([b"%.11e" % x for x in v[slow].tolist()], f"S{_FIELD}")
+    text[slow] = python.view(np.uint8).reshape(-1, _FIELD)
+    return text
+
+
 def write_scan_csv(result: ScanResult, stream: IO[str],
                    extra_header: dict | None = None) -> None:
     """Write a scan in the CSV contract: '#' metadata lines, then data rows.
 
     ``extra_header`` entries (e.g. a run manifest with command line and
-    timestamp) are emitted before the scan metadata.
+    timestamp) are emitted before the scan metadata.  Every value is
+    written as ``"%.11e" % v`` would write it, by :func:`_format_e11` on
+    blocks of whole rows of at most 8,192 values (the inner axis once, or
+    per block if it is longer).
     """
     stream.write("# cpgates-scan\n")
     for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
@@ -369,14 +438,28 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     stream.write(f"# columns: {names},infidelity\n")
 
     *outer, inner = (ax.grid() for ax in result.axes)
-    prefixes = (f"{x:.11e}," for x in outer[0]) if outer else ("",)
+    values = result.values.reshape(-1, inner.size)
+    step = min(inner.size, _BLOCK)  # inner values per block
+    rows = _BLOCK // step  # whole rows per block
     built = None
-    for prefix, row in zip(prefixes, result.values.reshape(-1, inner.size)):
-        for lo in range(0, inner.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
+    for r in range(0, len(values), rows):
+        for lo in range(0, inner.size, step):
             if built != lo:  # per row only if the inner axis spans blocks
-                built, templates = lo, [f"{y:.11e},%.11e\n" for y in inner[block].tolist()]
-            stream.write((prefix + prefix.join(templates)) % tuple(row[block].tolist()))
+                built, y = lo, _format_e11(inner[lo:lo + step])[None]
+            block = values[r:r + rows, lo:lo + step]
+            x = [_format_e11(outer[0][r:r + rows])[:, None]] if outer else []
+            stream.write(_lines([*x, y, _format_e11(block).reshape(*block.shape, _FIELD)]))
+
+
+def _lines(fields: list[np.ndarray]) -> str:
+    """CSV lines of broadcast field texts from :func:`_format_e11`, NULs dropped."""
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    text = np.empty((*shape, len(fields), _FIELD + 1), np.uint8)
+    for k, field in enumerate(fields):
+        text[..., k, :_FIELD] = field
+    text[..., :-1, _FIELD] = ord(",")
+    text[..., -1, _FIELD] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) -> None:
@@ -391,7 +474,9 @@ def read_scan_csv(path) -> ScanResult:
     axes come back exactly, because their bounds are written in the shortest
     form that round-trips; every other header line comes back as a string
     in ``metadata``, except ``columns``, which the axes imply.  Writing the
-    result again gives the same bytes.
+    result again gives the same bytes.  A file with another number of rows
+    or fields than its axes call for, or a row whose coordinates are not
+    ``float("%.11e" % g)`` of its grid point, raises ValueError.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -423,5 +508,33 @@ def read_scan_csv(path) -> ScanResult:
         raise ValueError(f"{path} carries no axis header")
     rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.samples for ax in axes)
+    if rows.shape != (math.prod(shape), len(axes) + 1):
+        raise ValueError(
+            f"{path}: the axes call for {math.prod(shape)} data rows of "
+            f"{len(axes) + 1} fields, found {rows.shape[0]} rows of {rows.shape[1]}"
+        )
+    # each coordinate column against its axis as written, broadcast
+    coords = rows[:, :-1].reshape(*shape, len(axes))
+    written = [_read_back(ax.grid()) for ax in axes]
+    misplaced = np.zeros(shape, bool)
+    for i, grid in enumerate(written):
+        misplaced |= coords[..., i] != grid.reshape([-1 if k == i else 1
+                                                     for k in range(len(axes))])
+    if misplaced.any():
+        first = int(np.argmax(misplaced))  # flat, so the data row less one
+        at = np.unravel_index(first, shape)
+        wanted = tuple(float(grid[k]) for grid, k in zip(written, at))
+        raise ValueError(
+            f"{path}: data row {first + 1} holds coordinates "
+            f"{tuple(coords[at].tolist())}, where the axes put {wanted}"
+        )
     values = np.ascontiguousarray(rows[:, -1]).reshape(shape)
     return ScanResult(axes=tuple(axes), values=values, metadata=metadata)
+
+
+def _read_back(grid: np.ndarray) -> np.ndarray:
+    """float("%.11e" % g) of every grid value: the coordinates a file holds."""
+    return np.concatenate([
+        np.array(_lines([_format_e11(grid[lo:lo + _BLOCK])]).split(), dtype=float)
+        for lo in range(0, grid.size, _BLOCK)
+    ])

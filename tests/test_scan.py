@@ -394,6 +394,35 @@ class TestCsvContract:
         assert len(rows) == 12
         assert all(len(ln.split(",")) == 3 for ln in rows)
 
+    def _map_file(self, tmp_path):
+        ax = SweepAxis("duration_fraction", 0.5, 1.5, 5)
+        ay = SweepAxis("detuning_times_T", -1.0, 1.0, 4)
+        path = tmp_path / "map.csv"
+        save_scan_csv(scan_2d(ax, ay, bb_gate(3), PulseSpec.rectangular(PI)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = [ln for ln in lines if ln.startswith("#")]
+        return path, header, [ln for ln in lines if not ln.startswith("#")]
+
+    def test_short_file_names_both_row_counts(self, tmp_path):
+        path, header, rows = self._map_file(tmp_path)
+        path.write_text("".join(header + rows[:-3]))
+        with pytest.raises(ValueError, match="20 data rows of 3 fields, found 17 rows"):
+            read_scan_csv(path)
+
+    def test_rows_out_of_place_name_the_first(self, tmp_path):
+        path, header, rows = self._map_file(tmp_path)
+        rows[5], rows[7] = rows[7], rows[5]  # same x, other detunings
+        path.write_text("".join(header + rows))
+        with pytest.raises(ValueError, match=r"data row 6 holds coordinates "
+                                             r"\(0\.75, 1\.0\), where the axes "
+                                             r"put \(0\.75, -0\.333333333333\)"):
+            read_scan_csv(path)
+        rows[5], rows[7] = rows[7], rows[5]
+        rows[3], rows[4] = rows[4], rows[3]  # the last of one x, the first of the next
+        path.write_text("".join(header + rows))
+        with pytest.raises(ValueError, match="data row 4 holds"):
+            read_scan_csv(path)
+
     def test_write_is_reproducible(self):
         b1, b2 = io.StringIO(), io.StringIO()
         write_scan_csv(self._scan(), b1)
@@ -489,6 +518,33 @@ class TestBlockWriter:
         # much again; a writer that joined every row would hold them all.
         assert sink.written > 7_000_000
         assert peak < sink.written / 2
+
+
+class TestFormatter:
+    """scan._format_e11 against Python's %.11e, where rounding is hardest."""
+
+    def test_matches_python_on_the_guard_band_and_edges(self):
+        rng = np.random.default_rng(13)
+        # d.ddddddddddd5e+-k: halfway between two 12-digit mantissas
+        ties = np.array([float(f"{d}5e{k - 12}") for d, k in
+                         zip(rng.integers(10**11, 10**12, 100_000).tolist(),
+                             rng.integers(-99, 100, 100_000).tolist())])
+        carries = np.array([float(f"9.999999999995e{k}") for k in range(-99, 100)])
+        near = np.concatenate([ties, -ties, carries])
+        edges = [1e-99, 9.999999999995e-100, 1e-100, 9.99999999999996e99, 1e100,
+                 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+        values = np.concatenate([
+            near, np.nextafter(near, math.inf), np.nextafter(near, -math.inf),
+            # every exponent, subnormals, infinities and NaNs
+            rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64),
+            rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-101, 101, 100_000),
+            edges,
+        ])
+        assert values.size >= 1_000_000
+        for lo in range(0, values.size, BLOCK):
+            block = values[lo:lo + BLOCK]
+            written = scan._lines([scan._format_e11(block)]).splitlines()
+            assert written == ["%.11e" % v for v in block.tolist()]
 
 
 def test_scan_result_shape_validation():

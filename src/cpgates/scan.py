@@ -480,12 +480,14 @@ def read_scan_csv(path) -> ScanResult:
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
+    has_rows = False
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             if not line.startswith("#"):
+                has_rows = True
                 break
             body = line[1:].strip()
             if body.startswith("axis"):
@@ -506,8 +508,11 @@ def read_scan_csv(path) -> ScanResult:
                     metadata[key] = value
     if not axes:
         raise ValueError(f"{path} carries no axis header")
-    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     shape = tuple(ax.samples for ax in axes)
+    if not has_rows:  # numpy would warn first, and report one field
+        raise ValueError(f"{path}: the axes call for {math.prod(shape)} data "
+                         f"rows of {len(axes) + 1} fields, found 0 rows")
+    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if rows.shape != (math.prod(shape), len(axes) + 1):
         raise ValueError(
             f"{path}: the axes call for {math.prod(shape)} data rows of "

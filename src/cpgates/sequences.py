@@ -6,6 +6,9 @@ formula k(k-1)*pi/n), detuning-compensated (tabulated phases, robust to
 frequency offsets) and universal (tabulated phases compensating small errors
 in any field parameter that keeps the evolution unitary).
 
+Each shipped table is built once, on its first request, and then shared:
+:class:`CompositePhases` is frozen and holds its phases in a tuple.
+
 A phase gate with gate phase PHI is built from any such n-pulse CP by playing
 the CP twice, with every pulse of the second pass shifted by pi + PHI/2.
 When the CP inverts perfectly the 2n-pulse product is exactly
@@ -16,6 +19,7 @@ pulses once and closes the pair with :func:`cpgates.su2.phase_gate`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +141,11 @@ def broadband_phases(n: int) -> CompositePhases:
         raise ValueError(f"broadband sequences are defined for odd n >= 1, got {n}")
     if n > MAX_BROADBAND_PULSES:
         raise ValueError(f"broadband n capped at {MAX_BROADBAND_PULSES}, got {n}")
+    return _broadband_table(int(n))
+
+
+@functools.cache
+def _broadband_table(n: int) -> CompositePhases:
     phases = tuple(_reduce(k * (k - 1) * math.pi / n) for k in range(1, n + 1))
     return CompositePhases("broadband", f"n{n}", phases, math.pi)
 
@@ -150,9 +159,7 @@ def detuning_phases(variant: str) -> CompositePhases:
             f"unknown detuning-compensated variant {variant!r}; "
             f"choose from {', '.join(DETUNING_VARIANTS)}"
         ) from None
-    phases = tuple(_reduce(p * math.pi) for p in table)
-    return CompositePhases("detuning_compensated", variant, phases,
-                           _DETUNING_AREA[variant])
+    return _tabulated("detuning_compensated", variant, table, _DETUNING_AREA[variant])
 
 
 def universal_phases(name: str) -> CompositePhases:
@@ -164,8 +171,14 @@ def universal_phases(name: str) -> CompositePhases:
             f"unknown universal variant {name!r}; "
             f"choose from {', '.join(UNIVERSAL_VARIANTS)}"
         ) from None
+    return _tabulated("universal", name, table, math.pi)
+
+
+@functools.cache
+def _tabulated(family: str, variant: str, table: tuple[float, ...],
+               area: float) -> CompositePhases:
     phases = tuple(_reduce(p * math.pi) for p in table)
-    return CompositePhases("universal", name, phases, math.pi)
+    return CompositePhases(family, variant, phases, area)
 
 
 _FAMILY_ALIASES = {

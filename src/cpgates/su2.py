@@ -122,13 +122,15 @@ def sequence_propagator(phases: Iterable[float],
 def gate_infidelity(ga, gb, gate_phase: float):
     """Frobenius distance of gates (ga, gb) to the ideal phase gate.
 
-    Elementwise, like :func:`fold`.  With t = e^{i*gate_phase/2} the target
+    Elementwise, like :func:`fold`, and a Python float (``math.sqrt``) for
+    Python complex numbers.  With t = e^{i*gate_phase/2} the target
     is diag(t, conj(t)); the two diagonal and the two off-diagonal entries of
     the difference have equal moduli, so the four-entry sum of squares is
     exactly 2|ga - t|^2 + 2|gb|^2.
     """
     target = complex(math.cos(gate_phase / 2.0), math.sin(gate_phase / 2.0))
-    return np.sqrt(2.0 * abs(ga - target) ** 2 + 2.0 * abs(gb) ** 2)
+    squared = 2.0 * abs(ga - target) ** 2 + 2.0 * abs(gb) ** 2
+    return math.sqrt(squared) if isinstance(squared, float) else np.sqrt(squared)
 
 
 def infidelity(actual: Propagator, target: TargetGate) -> float:

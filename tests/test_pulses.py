@@ -27,7 +27,8 @@ from cpgates.pulses import (
     resonant_rect_propagator,
     transition_probability,
 )
-from cpgates.su2 import Propagator
+from cpgates.sequences import broadband_phases, gate_propagator, make_phase_gate_sequence
+from cpgates.su2 import Propagator, TargetGate, gate_infidelity, infidelity
 
 PI = math.pi
 TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -357,6 +358,57 @@ class TestClosedFormRectangular:
                 PulseSpec("rectangular", omega[i], 1.0, "constant", delta[i]))
             assert abs(got.a - a[i]) < 1e-15
             assert abs(got.b - b[i]) < 1e-15
+
+    @staticmethod
+    def _scalar_inputs():
+        """Seeded (Omega, T, Delta) as floats, edges included."""
+        rng = np.random.default_rng(14)
+        omega = rng.uniform(0.0, 8.0, 300)
+        duration = rng.uniform(0.0, 1.0, 300)
+        delta = rng.uniform(-5.0, 5.0, 300)
+        delta[:50] = 0.0
+        omega[50:60] = delta[50:60] = 0.0
+        duration[60:70] = 0.0
+        points = list(zip(omega.tolist(), duration.tolist(), delta.tolist()))
+        # the overflow edge: hypot(Omega, Delta) * T is the largest double
+        top = np.finfo(float).max
+        g = 5.0 * 2.0**1021  # hypot of (3, 4) * 2^1021, exact on every path
+        edge = (3.0 * 2.0**1021, top / g, 4.0 * 2.0**1021)
+        assert math.hypot(edge[0], edge[2]) * edge[1] == top
+        with pytest.raises(ValueError, match="overflows"):
+            PulseSpec("rectangular", edge[0], math.nextafter(edge[1], 2.0), "constant", edge[2])
+        return points + [edge, (0.5 * top, 2.0, 0.0)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_floats_take_the_scalar_path(self):
+        points = self._scalar_inputs()
+        omega, duration, delta = (np.array(v) for v in zip(*points))
+        a, b = rect_propagator_grid(omega, duration, delta)
+        for i, (om, t, de) in enumerate(points):
+            got = rect_propagator_grid(om, t, de)
+            assert [type(v) for v in got] == [complex, complex]
+            assert abs(got[0] - a[i]) < 1e-15
+            assert abs(got[1] - b[i]) < 1e-15
+            u = constituent_propagator(PulseSpec("rectangular", om, t, "constant", de))
+            assert (u.a, u.b) == got
+        assert rect_propagator_grid(0.0, 1.0, 0.0) == (1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_scalar_queries_return_python_numbers(self):
+        specs = [PulseSpec.rectangular(1.3, detuning=0.4),  # floats: math/cmath
+                 PulseSpec("rectangular", 2, 1, "constant", 1),  # ints: numpy, 0-d
+                 PulseSpec.sech(0.7, detuning=0.3),  # Rosen-Zener, 0-d
+                 PulseSpec.sech(1.7, chirp_rate=-0.4)]  # integrated, one point
+        gate = make_phase_gate_sequence(broadband_phases(5), 0.4)
+        for spec in specs:
+            u = constituent_propagator(spec)
+            assert type(u.a) is complex and type(u.b) is complex
+            g = gate_propagator(gate, u)
+            value = gate_infidelity(g.a, g.b, gate.gate_phase)
+            assert type(value) is float
+            assert value == infidelity(g, TargetGate(gate.gate_phase))
+            grid = gate_infidelity(np.array([g.a]), np.array([g.b]), gate.gate_phase)
+            assert math.isclose(value, grid[0], rel_tol=1e-15)
 
 
 class TestConstituentDispatch:

@@ -409,6 +409,16 @@ class TestCsvContract:
         with pytest.raises(ValueError, match="20 data rows of 3 fields, found 17 rows"):
             read_scan_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_finds_no_rows(self, tmp_path):
+        path, header, _ = self._map_file(tmp_path)
+        path.write_text("".join(header))
+        with pytest.raises(ValueError, match="20 data rows of 3 fields, found 0 rows$"):
+            read_scan_csv(path)
+        path.write_text("".join(header) + "\n\n")  # blank lines are no rows either
+        with pytest.raises(ValueError, match="found 0 rows$"):
+            read_scan_csv(path)
+
     def test_rows_out_of_place_name_the_first(self, tmp_path):
         path, header, rows = self._map_file(tmp_path)
         rows[5], rows[7] = rows[7], rows[5]  # same x, other detunings

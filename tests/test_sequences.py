@@ -1,5 +1,6 @@
 """Composite phase tables and the two-sequence gate construction."""
 
+import inspect
 import math
 
 import numpy as np
@@ -160,6 +161,54 @@ class TestLookup:
     def test_bad_broadband_variant(self):
         with pytest.raises(ValueError, match="n3"):
             composite_phases("broadband", "abc")
+
+
+def _every_shipped_table():
+    """Every shipped table, asked for by position and by keyword."""
+    tables = ([broadband_phases(n) for n in range(1, 26, 2)]
+              + [detuning_phases(v) for v in DETUNING_VARIANTS]
+              + [universal_phases(v) for v in UNIVERSAL_VARIANTS])
+    by_keyword = ([broadband_phases(n=n) for n in range(1, 26, 2)]
+                  + [detuning_phases(variant=v) for v in DETUNING_VARIANTS]
+                  + [universal_phases(name=v) for v in UNIVERSAL_VARIANTS])
+    assert all(a is b for a, b in zip(tables, by_keyword))
+    return tables
+
+
+class TestTableCache:
+    def test_a_repeated_call_returns_the_same_table(self):
+        first, again = _every_shipped_table(), _every_shipped_table()
+        assert all(a is b for a, b in zip(first, again))
+        assert composite_phases("bb", "n5") is broadband_phases(5)
+        assert composite_phases("detuning", "N3") is detuning_phases("n3")
+
+    @pytest.mark.parametrize("table_of, bad", [
+        (broadband_phases, 5.0), (broadband_phases, 1.0), (broadband_phases, True),
+        (broadband_phases, False), (broadband_phases, np.int64(5)),
+        (broadband_phases, "5"), (broadband_phases, None), (broadband_phases, 4),
+        (broadband_phases, 0), (broadband_phases, -3), (broadband_phases, 27),
+        (detuning_phases, "n7"), (detuning_phases, "N5"), (detuning_phases, 5),
+        (universal_phases, "U9"), (universal_phases, "u5a"), (universal_phases, None),
+    ])
+    def test_invalid_arguments_still_raise_once_tables_exist(self, table_of, bad):
+        _every_shipped_table()
+        with pytest.raises(ValueError):
+            table_of(bad)
+        (keyword,) = inspect.signature(table_of).parameters
+        with pytest.raises(ValueError):
+            table_of(**{keyword: bad})
+
+    def test_unhashable_variants_still_raise(self):
+        _every_shipped_table()
+        with pytest.raises(TypeError):
+            detuning_phases(["n5"])
+
+    def test_a_shared_table_stays_frozen(self):
+        cp = broadband_phases(5)
+        assert type(cp.phases) is tuple
+        with pytest.raises(AttributeError):
+            cp.phases = (0.0,)
+        assert broadband_phases(5).phases == cp.phases and cp.variant == "n5"
 
 
 class TestGateConstruction:

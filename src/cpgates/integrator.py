@@ -189,11 +189,6 @@ def solve_batch(
     n_steps = np.zeros(m, dtype=np.int64)
     active = span > 0.0
 
-    k1 = np.zeros_like(y)
-    if active.any():
-        idx = np.nonzero(active)[0]
-        k1[idx] = rhs(t[idx], y[idx], idx)
-
     # steps never exceed a fixed fraction of the window, so a localized
     # pulse cannot slip between the stage points of one long quiet step;
     # the first step tries that cap, and the controller shrinks it as needed
@@ -209,7 +204,7 @@ def solve_batch(
         hc = hs[:, None]
         y_flat = ya.view(np.float64)
 
-        k = [k1[idx].view(np.float64)]
+        k = [rhs(ta, ya, idx).view(np.float64)]
         for c, row in zip(_C[1:], _A[1:]):
             stage_y = (y_flat + hc * _combine(row, k)).view(np.complex128)
             k.append(rhs(ta + c * hs, stage_y, idx).view(np.float64))
@@ -238,10 +233,6 @@ def solve_batch(
             acc = idx[accept]
             t[acc] = np.where(final_step[accept], t1[acc], ta[accept] + hs[accept])
             y[acc] = y_new[accept]
-            # first stage of the next step, for systems that go on
-            going = acc[t[acc] < t1[acc]]
-            if going.size:
-                k1[going] = rhs(t[going], y[going], going)
 
         n_steps[idx] += 1
         exhausted = n_steps[idx] >= max_steps

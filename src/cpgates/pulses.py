@@ -114,8 +114,8 @@ class PulseSpec:
         duration degenerates to the identity propagator, which parameter
         sweeps starting at zero duration rely on.
     model : {"constant", "tanh_chirp"}
-        Detuning model: a constant detuning Delta = rate, or a detuning
-        swept through resonance as Delta(t) = rate * tanh(t/T).
+        Detuning model: a constant detuning Delta = rate, or, for sech
+        pulses only, a sweep through resonance Delta(t) = rate * tanh(t/T).
     rate : float
         The constant detuning or the chirp rate, rad/time.
     """
@@ -131,6 +131,8 @@ class PulseSpec:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
         if self.model not in ("constant", "tanh_chirp"):
             raise ValueError(f"unknown detuning model {self.model!r}")
+        if self.shape == "rectangular" and self.model == "tanh_chirp":
+            raise ValueError("rectangular pulses take a constant detuning, not a chirp")
         if not (math.isfinite(self.peak_rabi) and math.isfinite(self.duration)
                 and math.isfinite(self.rate)):
             raise ValueError("pulse parameters must be finite")
@@ -217,8 +219,8 @@ def rect_propagator_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.nda
     Delta = 0, so resonant pulses come out bit for bit as cos(A/2) and
     -i sin(A/2) with A = Omega*T.  Three floats (numpy's included) take
     ``math`` and ``cmath`` and give Python complex numbers, which needs a
-    finite g*T and Delta*T, as every :class:`PulseSpec` has; anything else
-    takes numpy.
+    finite g*T and Delta*T, as every :class:`PulseSpec` has (ValueError
+    otherwise); anything else takes numpy.
     """
     if isinstance(omega0, float) and isinstance(duration, float) and isinstance(detuning, float):
         xp = _SCALAR_MATH
@@ -229,8 +231,11 @@ def rect_propagator_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.nda
     g = xp.hypot(omega0, detuning)
     safe_g = g + (g == 0)  # g = 0 only for the identity pulse
     half = 0.5 * g * duration
-    sin_half = xp.sin(half)
-    phase = xp.exp(-0.5j * detuning * duration)
+    try:  # on floats, math raises "math domain error" where these overflowed
+        sin_half, phase = xp.sin(half), xp.exp(-0.5j * detuning * duration)
+    except ValueError:
+        raise ValueError("rect_propagator_grid needs a finite hypot(omega0, "
+                         "detuning) * duration and detuning * duration") from None
     a = phase * (xp.cos(half) + 1j * (detuning / safe_g) * sin_half)
     b = -1j * phase * ((omega0 / safe_g) * sin_half)
     return a, b

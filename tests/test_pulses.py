@@ -8,6 +8,7 @@ to the same matrix exponential.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,10 @@ class TestPulseSpecValidation:
                                                                 "tanh_chirp", 2.0)
         assert PulseSpec.rectangular(3.0, 2.0, 0.7) == PulseSpec("rectangular", 1.5,
                                                                  2.0, "constant", 0.7)
+
+    def test_rectangular_pulses_take_no_chirp(self):
+        with pytest.raises(ValueError, match="rectangular pulses take a constant"):
+            PulseSpec("rectangular", 1.0, 1.0, "tanh_chirp", 1.0)
 
     def test_sech_factory_rejects_double_detuning(self):
         with pytest.raises(ValueError, match="either"):
@@ -392,6 +397,18 @@ class TestClosedFormRectangular:
             u = constituent_propagator(PulseSpec("rectangular", om, t, "constant", de))
             assert (u.a, u.b) == got
         assert rect_propagator_grid(0.0, 1.0, 0.0) == (1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega, duration, delta", [
+        (1e308, 10.0, 0.0),  # g*T overflows
+        (1.0, math.inf, 0.0),  # so does an infinite duration
+        (1.0, 1e308, 1e308),  # g*T and Delta*T overflow together
+    ])
+    def test_scalar_overflow_names_the_precondition(self, omega, duration, delta):
+        with pytest.raises(ValueError, match=re.escape(
+                "needs a finite hypot(omega0, detuning) * duration and "
+                "detuning * duration")):
+            rect_propagator_grid(omega, duration, delta)
 
     @pytest.mark.filterwarnings("error")
     def test_scalar_queries_return_python_numbers(self):

@@ -30,12 +30,13 @@ bytes.  The writer spells the digits of a block of whole rows (at most
 8,192 values) in numpy, byte for byte Python's "%.11e": integer arithmetic
 on a 12-digit mantissa scaled to within 2.3e-4, with Python's own format
 for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
-finite.  The text it holds is bounded by the block and not by the grid.
-Reading checks every row's coordinates against the axes.
+finite.  The text it holds is bounded by the block and not by the grid;
+a read, too, parses a block at a time and checks every row's coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import IO
@@ -471,71 +472,70 @@ def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) ->
 def read_scan_csv(path) -> ScanResult:
     """Parse a file written by :func:`write_scan_csv`.
 
-    The '#' header ends at the first data row; numpy parses the rows.  The
-    axes come back exactly, because their bounds are written in the shortest
-    form that round-trips; every other header line comes back as a string
-    in ``metadata``, except ``columns``, which the axes imply.  Writing the
-    result again gives the same bytes.  A file with another number of rows
-    or fields than its axes call for, or a row whose coordinates are not
-    ``float("%.11e" % g)`` of its grid point, raises ValueError.
+    The '#' header ends at the first data row; numpy parses the rows, at most
+    8,192 lines at a time, into the values array.  The axes come back exactly,
+    because their bounds are written in the shortest form that round-trips;
+    every other header line comes back as a string in ``metadata``, except
+    ``columns``, which the axes imply.  Writing the result again gives the
+    same bytes.  A file with another number of rows or fields than its axes
+    call for, or a row whose coordinates are not ``float("%.11e" % g)`` of
+    its grid point, raises ValueError.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
-    has_rows = False
     with open(path, "r", encoding="utf-8") as fh:
+        first = ""  # the first data row
         for line in fh:
-            line = line.strip()
-            if not line:
+            body = line.strip()
+            if not body:
                 continue
-            if not line.startswith("#"):
-                has_rows = True
+            if not body.startswith("#"):
+                first = line
                 break
-            body = line[1:].strip()
+            body = body[1:].strip()
             if body.startswith("axis"):
                 _, spec = body.split(":", 1)
-                fields = dict(item.split("=") for item in spec.split())
-                axes.append(
-                    SweepAxis(
-                        parameter=fields["parameter"],
-                        start=float(fields["start"]),
-                        stop=float(fields["stop"]),
-                        samples=int(fields["samples"]),
-                        spacing=fields["spacing"],
-                    )
-                )
+                f = dict(item.split("=") for item in spec.split())
+                axes.append(SweepAxis(f["parameter"], float(f["start"]), float(f["stop"]),
+                                      int(f["samples"]), f["spacing"]))
             elif ":" in body:
                 key, value = (part.strip() for part in body.split(":", 1))
                 if key != "columns":
                     metadata[key] = value
-    if not axes:
-        raise ValueError(f"{path} carries no axis header")
-    shape = tuple(ax.samples for ax in axes)
-    if not has_rows:  # numpy would warn first, and report one field
-        raise ValueError(f"{path}: the axes call for {math.prod(shape)} data "
-                         f"rows of {len(axes) + 1} fields, found 0 rows")
-    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if rows.shape != (math.prod(shape), len(axes) + 1):
-        raise ValueError(
-            f"{path}: the axes call for {math.prod(shape)} data rows of "
-            f"{len(axes) + 1} fields, found {rows.shape[0]} rows of {rows.shape[1]}"
-        )
-    # each coordinate column against its axis as written, broadcast
-    coords = rows[:, :-1].reshape(*shape, len(axes))
-    written = [_read_back(ax.grid()) for ax in axes]
-    misplaced = np.zeros(shape, bool)
-    for i, grid in enumerate(written):
-        misplaced |= coords[..., i] != grid.reshape([-1 if k == i else 1
-                                                     for k in range(len(axes))])
-    if misplaced.any():
-        first = int(np.argmax(misplaced))  # flat, so the data row less one
-        at = np.unravel_index(first, shape)
-        wanted = tuple(float(grid[k]) for grid, k in zip(written, at))
-        raise ValueError(
-            f"{path}: data row {first + 1} holds coordinates "
-            f"{tuple(coords[at].tolist())}, where the axes put {wanted}"
-        )
-    values = np.ascontiguousarray(rows[:, -1]).reshape(shape)
-    return ScanResult(axes=tuple(axes), values=values, metadata=metadata)
+        if not axes:
+            raise ValueError(f"{path} carries no axis header")
+        shape = tuple(ax.samples for ax in axes)
+        size, width = math.prod(shape), len(axes) + 1
+        if not first:  # numpy would warn first, and report one field
+            raise ValueError(f"{path}: the axes call for {size} data "
+                             f"rows of {width} fields, found 0 rows")
+        values = np.empty(size)  # a read holds its values and one block
+        written = [_read_back(ax.grid()) for ax in axes]
+        found, fields = 0, width
+        lines = itertools.chain([first], fh)
+        for line in lines:
+            if not line.split("#", 1)[0].rstrip("\n"):
+                continue  # numpy skips blank and comment lines
+            rows = np.loadtxt(itertools.chain([line], itertools.islice(lines, _BLOCK - 1)),
+                              delimiter=",", comments="#", ndmin=2)
+            lo, found = found, found + len(rows)
+            fields = rows.shape[1] if rows.shape[1] != width else fields
+            if found > size or fields != width:
+                continue  # counted for the error below
+            # each coordinate column against its axis as written
+            at = np.unravel_index(np.arange(lo, found), shape)
+            off = np.any([rows[:, i] != g[k] for i, (g, k) in enumerate(zip(written, at))],
+                         axis=0)
+            if off.any():
+                j = int(np.argmax(off))  # the first, at data row lo + j + 1
+                wanted = tuple(float(g[k[j]]) for g, k in zip(written, at))
+                raise ValueError(f"{path}: data row {lo + j + 1} holds coordinates "
+                                 f"{tuple(rows[j, :-1].tolist())}, where the axes put {wanted}")
+            values[lo:found] = rows[:, -1]
+    if (found, fields) != (size, width):
+        raise ValueError(f"{path}: the axes call for {size} data rows of {width} "
+                         f"fields, found {found} rows of {fields}")
+    return ScanResult(axes=tuple(axes), values=values.reshape(shape), metadata=metadata)
 
 
 def _read_back(grid: np.ndarray) -> np.ndarray:

@@ -30,14 +30,26 @@ bytes.  The writer spells the digits of a block of whole rows (at most
 8,192 values) in numpy, byte for byte Python's "%.11e": integer arithmetic
 on a 12-digit mantissa scaled to within 2.3e-4, with Python's own format
 for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
-finite.  The text it holds is bounded by the block and not by the grid;
-a read, too, parses a block at a time and checks every row's coordinates.
+finite.  It lays a block's lines out in one byte array made once per
+write and emits their bytes, so what it holds is bounded by the block.
+
+A read, too, takes a block at a time and checks every row's coordinates.
+Where every axis value has the canonical 17 bytes, d.ddddddddddde+dd (no
+sign, two exponent digits), a block of such lines is read as a fixed-width
+byte array: coordinates are compared as bytes with the axes' texts, and
+values come from numpy's bytes-to-float cast.  fig1, fig2 and maps over
+positive axes read this way.  Negative coordinates (fig3, fig4), or a block
+off that layout (a comment, a CRLF, a signed value, three exponent digits),
+send the rest of the file to numpy.loadtxt.  Both give float() of a field.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -416,6 +428,69 @@ def _format_e11(values: np.ndarray) -> np.ndarray:
     return text
 
 
+def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | bytearray]:
+    """The CSV contract as bytes: the UTF-8 header, then one chunk per block.
+
+    A block is whole rows of at most 8,192 values, or part of one row if the
+    inner axis is longer.  Its lines are laid out in one array made once per
+    write, into which the inner axis goes once, or per block if it spans
+    blocks; a block fills in its other fields and comes out NULs dropped.
+    """
+    header = ["# cpgates-scan\n"]
+    for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
+        text = f"{value:.12g}" if isinstance(value, float) else str(value)
+        header.append(f"# {key}: {text}\n")
+    for i, ax in enumerate(result.axes):
+        header.append(
+            f"# axis{i}: parameter={ax.parameter} spacing={ax.spacing} "
+            f"start={float(ax.start)!r} stop={float(ax.stop)!r} "
+            f"samples={ax.samples}\n"
+        )
+    names = ",".join(ax.parameter for ax in result.axes)
+    header.append(f"# columns: {names},infidelity\n")
+    yield "".join(header).encode("utf-8")
+
+    *outer, inner = (ax.grid() for ax in result.axes)
+    values = result.values.reshape(-1, inner.size)
+    step = min(inner.size, _BLOCK)  # inner values per block
+    rows = _BLOCK // step  # whole rows per block
+    whole, text = _line_buffer((rows, step), len(result.axes) + 1)
+    built = None
+    for r in range(0, len(values), rows):
+        for lo in range(0, inner.size, step):
+            if built != lo:  # per row only if the inner axis spans blocks
+                built, y = lo, _format_e11(inner[lo:lo + step])
+                text[:, :len(y), -2, :_FIELD] = y
+            block = values[r:r + rows, lo:lo + step]
+            lines = text[:block.shape[0], :block.shape[1]]
+            if outer:
+                lines[:, :, 0, :_FIELD] = _format_e11(outer[0][r:r + rows])[:, None]
+            lines[:, :, -1, :_FIELD] = _format_e11(block).reshape(*block.shape, _FIELD)
+            # lines is text or a leading part of it
+            yield (whole if lines.size == len(whole) else whole[:lines.size]).translate(None, b"\0")
+
+
+def _line_buffer(shape: tuple[int, ...], columns: int) -> tuple[bytearray, np.ndarray]:
+    """Room for CSV lines: a bytearray and its ``(*shape, columns, 20)`` view.
+
+    A field takes 19 codes, then "," or "\\n".  The bytearray drops its NULs
+    in one pass, with no copy of its own as ``tobytes`` would make.
+    """
+    whole = bytearray(math.prod(shape) * columns * (_FIELD + 1))
+    text = np.frombuffer(whole, np.uint8).reshape(*shape, columns, _FIELD + 1)
+    text[..., :-1, _FIELD] = ord(",")
+    text[..., -1, _FIELD] = ord("\n")
+    return whole, text
+
+
+def _lines(fields: list[np.ndarray]) -> str:
+    """CSV lines of broadcast field texts from :func:`_format_e11`, NULs dropped."""
+    whole, text = _line_buffer(np.broadcast_shapes(*(f.shape[:-1] for f in fields)), len(fields))
+    for k, field in enumerate(fields):
+        text[..., k, :_FIELD] = field
+    return whole.translate(None, b"\0").decode("ascii")
+
+
 def write_scan_csv(result: ScanResult, stream: IO[str],
                    extra_header: dict | None = None) -> None:
     """Write a scan in the CSV contract: '#' metadata lines, then data rows.
@@ -423,75 +498,83 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     ``extra_header`` entries (e.g. a run manifest with command line and
     timestamp) are emitted before the scan metadata.  Every value is
     written as ``"%.11e" % v`` would write it, by :func:`_format_e11` on
-    blocks of whole rows of at most 8,192 values (the inner axis once, or
-    per block if it is longer).
+    blocks of whole rows of at most 8,192 values.  The text is that of
+    :func:`save_scan_csv`, decoded a block at a time.
     """
-    stream.write("# cpgates-scan\n")
-    for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
-        text = f"{value:.12g}" if isinstance(value, float) else str(value)
-        stream.write(f"# {key}: {text}\n")
-    for i, ax in enumerate(result.axes):
-        stream.write(
-            f"# axis{i}: parameter={ax.parameter} spacing={ax.spacing} "
-            f"start={float(ax.start)!r} stop={float(ax.stop)!r} "
-            f"samples={ax.samples}\n"
-        )
-    names = ",".join(ax.parameter for ax in result.axes)
-    stream.write(f"# columns: {names},infidelity\n")
-
-    *outer, inner = (ax.grid() for ax in result.axes)
-    values = result.values.reshape(-1, inner.size)
-    step = min(inner.size, _BLOCK)  # inner values per block
-    rows = _BLOCK // step  # whole rows per block
-    built = None
-    for r in range(0, len(values), rows):
-        for lo in range(0, inner.size, step):
-            if built != lo:  # per row only if the inner axis spans blocks
-                built, y = lo, _format_e11(inner[lo:lo + step])[None]
-            block = values[r:r + rows, lo:lo + step]
-            x = [_format_e11(outer[0][r:r + rows])[:, None]] if outer else []
-            stream.write(_lines([*x, y, _format_e11(block).reshape(*block.shape, _FIELD)]))
-
-
-def _lines(fields: list[np.ndarray]) -> str:
-    """CSV lines of broadcast field texts from :func:`_format_e11`, NULs dropped."""
-    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
-    text = np.empty((*shape, len(fields), _FIELD + 1), np.uint8)
-    for k, field in enumerate(fields):
-        text[..., k, :_FIELD] = field
-    text[..., :-1, _FIELD] = ord(",")
-    text[..., -1, _FIELD] = ord("\n")
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    for chunk in _csv_bytes(result, extra_header):
+        stream.write(chunk.decode("utf-8"))
 
 
 def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_scan_csv(result, fh, extra_header)
+    """Write a scan to a file in the CSV contract, as bytes, a block at a time."""
+    with open(path, "wb") as fh:
+        for chunk in _csv_bytes(result, extra_header):
+            fh.write(chunk)
+
+
+# "%.11e" of 0 <= v < 1e100 takes 17 bytes, d.ddddddddddde+dd or -dd; per
+# column of such a field, the lowest code and how many codes above it it may
+# take ("+" to "-" spans "," too, which is checked apart)
+_CANONICAL = 17
+_LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
+_SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
+
+
+def _canonical_rows(lines: np.ndarray, texts: list[np.ndarray], at) -> np.ndarray | None:
+    """Values of a block of canonical lines, or None if any byte is off.
+
+    ``lines`` holds the block, one line of ``18 * columns`` codes per row;
+    ``texts`` holds every axis's coordinate texts, ``(samples, 17)`` codes,
+    and ``at`` the axis indices of the block's rows.  Every byte is checked:
+    the separators, the coordinates against their texts, and the value
+    field's layout.  The values come from numpy's bytes-to-float cast,
+    which rounds correctly, so they equal ``float`` of each field.
+    """
+    ends = lines[:, _CANONICAL::_CANONICAL + 1]
+    if not ((ends[:, :-1] == ord(",")).all() and (ends[:, -1] == ord("\n")).all()):
+        return None
+    for i, (text, k) in enumerate(zip(texts, at)):
+        lo = i * (_CANONICAL + 1)
+        if not np.array_equal(lines[:, lo:lo + _CANONICAL], text[k]):
+            return None
+    value = lines[:, -_CANONICAL - 1:-1]
+    if not (((value - _LOWEST) <= _SPAN).all() and (value[:, 14] != ord(",")).all()):
+        return None
+    return value.view(f"S{_CANONICAL}")[:, 0]
 
 
 def read_scan_csv(path) -> ScanResult:
     """Parse a file written by :func:`write_scan_csv`.
 
-    The '#' header ends at the first data row; numpy parses the rows, at most
-    8,192 lines at a time, into the values array.  The axes come back exactly,
+    The '#' header ends at the first data row.  The axes come back exactly,
     because their bounds are written in the shortest form that round-trips;
     every other header line comes back as a string in ``metadata``, except
     ``columns``, which the axes imply.  Writing the result again gives the
-    same bytes.  A file with another number of rows or fields than its axes
-    call for, or a row whose coordinates are not ``float("%.11e" % g)`` of
-    its grid point, raises ValueError.
+    same bytes.
+
+    The rows are read a block of at most 8,192 lines at a time into the
+    values array.  If every coordinate of the axes is written in the
+    canonical 17 bytes (no sign, a two-digit exponent), blocks of lines of
+    17-byte fields are read as fixed-width byte arrays and taken as they
+    stand while their coordinates equal the axes' texts and their values
+    have the canonical layout (:func:`_canonical_rows`).  From the first
+    block that does not, and after the last expected row, ``numpy.loadtxt``
+    parses the text as before, skipping blank and comment lines; its errors
+    name the file's data row.  Values are ``float`` of each field either
+    way.  A file with another number of rows or fields than its axes call
+    for, or a row whose coordinates are not ``float("%.11e" % g)`` of its
+    grid point, raises ValueError.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = ""  # the first data row
-        for line in fh:
+    with open(path, "rb") as fh:
+        data = 0  # the byte offset of the first data row
+        header = io.TextIOWrapper(fh, encoding="utf-8", newline="")  # line ends kept
+        for line in header:
             body = line.strip()
-            if not body:
-                continue
-            if not body.startswith("#"):
-                first = line
+            if body and not body.startswith("#"):
                 break
+            data += len(line.encode("utf-8"))
             body = body[1:].strip()
             if body.startswith("axis"):
                 _, spec = body.split(":", 1)
@@ -502,22 +585,48 @@ def read_scan_csv(path) -> ScanResult:
                 key, value = (part.strip() for part in body.split(":", 1))
                 if key != "columns":
                     metadata[key] = value
+        else:
+            data = None
+        header.detach()
         if not axes:
             raise ValueError(f"{path} carries no axis header")
         shape = tuple(ax.samples for ax in axes)
         size, width = math.prod(shape), len(axes) + 1
-        if not first:  # numpy would warn first, and report one field
+        if data is None:  # numpy would warn first, and report one field
             raise ValueError(f"{path}: the axes call for {size} data "
                              f"rows of {width} fields, found 0 rows")
+        fh.seek(data)
         values = np.empty(size)  # a read holds its values and one block
-        written = [_read_back(ax.grid()) for ax in axes]
+        texts = [_canonical_text(ax.grid()) for ax in axes]
         found, fields = 0, width
-        lines = itertools.chain([first], fh)
+        line_width = (_CANONICAL + 1) * width
+        if all(text is not None for text in texts):
+            block = np.empty(_BLOCK * line_width, np.uint8)
+            while found < size:
+                n = min(_BLOCK, size - found)
+                at, raw = fh.tell(), block[:n * line_width]
+                rows = None
+                if fh.readinto(raw) == raw.size:
+                    rows = _canonical_rows(raw.reshape(n, line_width), texts,
+                                           np.unravel_index(np.arange(found, found + n), shape))
+                if rows is None:
+                    fh.seek(at)
+                    break
+                values[found:found + n] = rows
+                found += n
+        # the coordinates as the file holds them, if rows remain to check
+        written = [_read_back(ax.grid()) for ax in axes] if found < size else []
+        lines = io.TextIOWrapper(fh, encoding="utf-8")  # as a text read, from here
         for line in lines:
             if not line.split("#", 1)[0].rstrip("\n"):
                 continue  # numpy skips blank and comment lines
-            rows = np.loadtxt(itertools.chain([line], itertools.islice(lines, _BLOCK - 1)),
-                              delimiter=",", comments="#", ndmin=2)
+            try:
+                rows = np.loadtxt(itertools.chain([line], itertools.islice(lines, _BLOCK - 1)),
+                                  delimiter=",", comments="#", ndmin=2)
+            except ValueError as err:  # numpy counts data rows from the block's first
+                err.args = (re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + found}",
+                                   str(err)),)
+                raise
             lo, found = found, found + len(rows)
             fields = rows.shape[1] if rows.shape[1] != width else fields
             if found > size or fields != width:
@@ -544,3 +653,17 @@ def _read_back(grid: np.ndarray) -> np.ndarray:
         np.array(_lines([_format_e11(grid[lo:lo + _BLOCK])]).split(), dtype=float)
         for lo in range(0, grid.size, _BLOCK)
     ])
+
+
+def _canonical_text(grid: np.ndarray) -> np.ndarray | None:
+    """"%.11e" % g of every grid value as ``(samples, 17)`` codes, or None
+    if a text is not canonical."""
+    codes = np.empty((grid.size, _CANONICAL), np.uint8)
+    for lo in range(0, grid.size, _BLOCK):
+        text = _lines([_format_e11(grid[lo:lo + _BLOCK])]).encode()
+        part = codes[lo:lo + _BLOCK]
+        # no text is shorter than 17 bytes, so none is longer if they add up
+        if len(text) != (_CANONICAL + 1) * len(part):
+            return None
+        part[:] = np.frombuffer(text, np.uint8).reshape(len(part), -1)[:, :-1]
+    return codes

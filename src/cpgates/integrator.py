@@ -3,11 +3,12 @@
 Parameter scans need tens of thousands of small independent integrations, so
 instead of one Python-level solver call per grid point this module advances a
 whole batch in lockstep with numpy, each system carrying its own time, step
-size and accept/reject history.  A system's step sequence depends only on its
-own state, which keeps every result bitwise identical no matter how a grid is
-split into batches.  For the same reason stage sums are elementwise
-multiply-adds in a fixed order, never a matrix product, whose blocking could
-make a row's bits depend on the batch size.
+size and accept/reject history; its arrays hold only the systems still
+running, packed.  A system's step sequence depends only on its own state,
+which keeps every result bitwise identical no matter how a grid is split
+into batches or when other systems end.  For the same reason stage sums are
+elementwise multiply-adds in a fixed order, never a matrix product, whose
+blocking could make a row's bits depend on the batch size.
 
 The stepper is DOP853, the explicit Runge-Kutta method of order 8 by Dormand
 and Prince (Hairer, Norsett and Wanner, *Solving Ordinary Differential
@@ -161,14 +162,17 @@ def solve_batch(
 ) -> BatchResult:
     """Integrate dy/dt = rhs(t, y, idx) from t_start to t_end per system.
 
+    Only the systems still running are stepped, packed in their original
+    order; one that ends or fails is written out and its rows dropped, so
+    no step gathers or scatters.  A row's bits depend only on its system.
+
     Parameters
     ----------
     rhs : callable
-        Vectorized right-hand side.  Called as ``rhs(t, y, idx)`` where
-        ``t`` has shape (k,), ``y`` has shape (k, d) and ``idx`` holds the
-        original indices of the k currently active systems, so per-system
-        parameters can be gathered by the callee.  Must return a new
-        C-ordered complex128 array of shape (k, d).
+        Vectorized right-hand side, called as ``rhs(t, y, idx)`` on the k
+        running systems: ``t`` (k,), ``y`` (k, d) and ``idx`` their original
+        indices, so per-system parameters can be gathered by the callee.
+        Must return a new C-ordered complex128 array of shape (k, d).
     t_start, t_end : (m,) arrays
         Integration window per system.  Systems with an empty window keep
         their initial state.
@@ -180,37 +184,34 @@ def solve_batch(
     """
     t0 = np.atleast_1d(np.asarray(t_start, dtype=float))
     t1 = np.atleast_1d(np.asarray(t_end, dtype=float))
-    y = np.array(y0, dtype=np.complex128, copy=True)
-    m, d = y.shape
-    span = t1 - t0
-
-    t = t0.copy()
+    y_out = np.array(y0, dtype=np.complex128, copy=True)
+    m, d = y_out.shape
     success = np.ones(m, dtype=bool)
     n_steps = np.zeros(m, dtype=np.int64)
-    active = span > 0.0
 
+    idx = np.flatnonzero(t1 - t0 > 0.0)
+    t, t_end, y = t0[idx], t1[idx], y_out[idx]
+    span = t_end - t
+    n = np.zeros(idx.size, dtype=np.int64)
     # steps never exceed a fixed fraction of the window, so a localized
     # pulse cannot slip between the stage points of one long quiet step;
     # the first step tries that cap, and the controller shrinks it as needed
     h = span.copy()
     h_cap = span / 16.0
 
-    while active.any():
-        idx = np.nonzero(active)[0]
-        ta, ya = t[idx], y[idx]
-        remaining = t1[idx] - ta
-        hs = np.minimum(np.minimum(h[idx], h_cap[idx]), remaining)
-        final_step = hs >= remaining
+    while idx.size:
+        remaining = t_end - t
+        hs = np.minimum(np.minimum(h, h_cap), remaining)
         hc = hs[:, None]
-        y_flat = ya.view(np.float64)
+        y_flat = y.view(np.float64)
 
-        k = [rhs(ta, ya, idx).view(np.float64)]
+        k = [rhs(t, y, idx).view(np.float64)]
         for c, row in zip(_C[1:], _A[1:]):
             stage_y = (y_flat + hc * _combine(row, k)).view(np.complex128)
-            k.append(rhs(ta + c * hs, stage_y, idx).view(np.float64))
+            k.append(rhs(t + c * hs, stage_y, idx).view(np.float64))
         y_new = (y_flat + hc * _combine(_B, k)).view(np.complex128)
 
-        scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err5 = np.sum((np.abs(_combine(_E5, k).view(np.complex128)) / scale) ** 2,
                       axis=1)
         err3 = np.sum((np.abs(_combine(_E3, k).view(np.complex128)) / scale) ** 2,
@@ -218,28 +219,26 @@ def solve_batch(
         denom = err5 + 0.01 * err3
         with np.errstate(invalid="ignore", divide="ignore"):
             err_norm = np.where(denom == 0.0, 0.0, hs * err5 / np.sqrt(denom * d))
+            # a zero error gives inf, which the clip turns into _MAX_FACTOR
+            factor = _SAFETY * err_norm ** _EXPONENT
 
         accept = err_norm <= 1.0  # NaN compares False, rejecting bad steps
-        with np.errstate(divide="ignore"):
-            factor = _SAFETY * err_norm ** _EXPONENT
-        factor = np.where(err_norm == 0.0, _MAX_FACTOR, factor)
         factor = np.where(np.isnan(factor), _MIN_FACTOR, factor)
         factor = np.clip(factor, _MIN_FACTOR, _MAX_FACTOR)
         # never grow the step right after a rejection
         factor = np.where(accept, factor, np.minimum(factor, 1.0))
-        h[idx] = hs * factor
+        h = hs * factor
+        t = np.where(accept, np.where(hs >= remaining, t_end, t + hs), t)
+        y = np.where(accept[:, None], y_new, y)
+        n += 1
 
-        if accept.any():
-            acc = idx[accept]
-            t[acc] = np.where(final_step[accept], t1[acc], ta[accept] + hs[accept])
-            y[acc] = y_new[accept]
+        running = t < t_end
+        failed = running & ((n >= max_steps) | (hs <= 1e-14 * span))
+        done = failed | ~running
+        if done.any():
+            ended = idx[done]
+            y_out[ended], success[ended], n_steps[ended] = y[done], ~failed[done], n[done]
+            idx, t, t_end, y, h, h_cap, span, n = (
+                x[~done] for x in (idx, t, t_end, y, h, h_cap, span, n))
 
-        n_steps[idx] += 1
-        exhausted = n_steps[idx] >= max_steps
-        stalled = hs <= 1e-14 * span[idx]
-        failed = (exhausted | stalled) & (t[idx] < t1[idx])
-        if failed.any():
-            success[idx[failed]] = False
-        active[idx] = ~failed & (t[idx] < t1[idx])
-
-    return BatchResult(y=y, success=success, n_steps=n_steps)
+    return BatchResult(y=y_out, success=success, n_steps=n_steps)

@@ -83,6 +83,7 @@ PARAMETERS = (
 
 _MAX_SAMPLES = 10_000_000  # per axis, and for the product of all axes
 _NOISE_FLOOR = 1e-13
+_ORDER_SAMPLES = 20  # eps values in an error_order fit
 # points per scan block and lines per CSV write: bounds the memory held, and
 # stays below numpy's 16,384-point (256 KiB complex) threshold for reusing
 # temporaries, past which other loops may round the last bit differently
@@ -149,17 +150,6 @@ class ScanResult:
 def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], coords):
     """Pulse parameter arrays of a block from the template and its axis coordinates."""
     t0 = template.duration
-    if t0 <= 0:
-        raise ValueError("scan templates need a positive duration")
-    params = [ax.parameter for ax in axes]
-    if len(set(params)) != len(params):
-        raise ValueError("scan axes must address distinct parameters")
-    if {"pulse_area_fraction", "peak_rabi_times_T"} <= set(params):
-        raise ValueError(
-            "pulse_area_fraction and peak_rabi_times_T both control the "
-            "peak Rabi frequency; sweep only one of them"
-        )
-
     omega0 = np.full_like(coords[0], template.peak_rabi)
     duration = np.full_like(coords[0], t0)
     rate = np.full_like(coords[0], template.rate)
@@ -171,10 +161,6 @@ def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], coords):
         elif ax.parameter == "peak_rabi_times_T":
             omega0 = grid / t0
         elif ax.parameter == "detuning_times_T":
-            if template.model != "constant":
-                raise ValueError(
-                    "a detuning sweep requires the constant-detuning model"
-                )
             rate = grid / t0
         elif ax.parameter == "duration_fraction":
             duration = grid * t0
@@ -220,6 +206,18 @@ def _run_scan(
     if points > _MAX_SAMPLES:
         raise ValueError(f"a scan holds at most {_MAX_SAMPLES} points, "
                          f"this one {points}")
+    if template.duration <= 0:
+        raise ValueError("scan templates need a positive duration")
+    names = [ax.parameter for ax in axes]
+    if len(set(names)) != len(names):
+        raise ValueError("scan axes must address distinct parameters")
+    if {"pulse_area_fraction", "peak_rabi_times_T"} <= set(names):
+        raise ValueError(
+            "pulse_area_fraction and peak_rabi_times_T both control the "
+            "peak Rabi frequency; sweep only one of them"
+        )
+    if "detuning_times_T" in names and template.model != "constant":
+        raise ValueError("a detuning sweep requires the constant-detuning model")
     grids = [ax.grid() for ax in axes]
     shape = tuple(g.size for g in grids)
     # overflow and NaN surface as non-finite points, which _check_points
@@ -268,14 +266,13 @@ def error_order(
     seq: PhaseGateSequence | CompositePhases,
     perturbation: str,
     eps_range: tuple[float, float] = (1e-3, 1e-2),
-    samples: int = 20,
     seed: int | None = None,
 ) -> float:
     """Fitted error-scaling exponent of a gate or of its composite pulse.
 
     Evaluates rectangular constituent pulses at the sequence's nominal area,
     perturbed by relative size eps, and fits the least-squares slope of
-    log(metric) against log(eps) over log-spaced eps in ``eps_range``.  The
+    log(metric) against log(eps) over 20 log-spaced eps in ``eps_range``.  The
     metric is the gate infidelity for a :class:`PhaseGateSequence` and the
     surviving-amplitude modulus |a| for a bare :class:`CompositePhases`.
     The pulses take the same route as scans, the closed form for detuned as
@@ -310,7 +307,7 @@ def error_order(
     else:
         raise ValueError(f"unknown perturbation {perturbation!r}")
 
-    eps = np.geomspace(lo, hi, samples)
+    eps = np.geomspace(lo, hi, _ORDER_SAMPLES)
     area = cp.nominal_per_pulse_area * (1.0 + eps * direction[0])
     delta_t = eps * direction[1]
 

@@ -105,3 +105,32 @@ def test_linear_decay_converges_at_tight_tolerance():
     assert res.success.all()
     want = y0 * np.exp(-rates * spans)[:, None]
     assert np.max(np.abs(res.y - want)) < 1e-13
+
+
+def test_packed_batch_gives_each_system_its_lone_bits():
+    # systems listed out of order leave the packed batch at different steps:
+    # two with empty windows at once, one in the middle when it exhausts the
+    # step budget, the rest as they finish.  Every one must come back with
+    # the y, success and n_steps of integrating it alone, bit for bit
+    freq = np.array([3.0, 0.5, 2.0, 400.0, 7.0, 1.5, 0.25, 5.0])
+    t0 = np.array([0.5, -2.0, 1.0, 0.0, 0.0, 4.0, -1.0, 2.0])
+    t1 = np.array([4.0, 6.0, 1.0, 5.0, 1.0, 4.0, 0.5, 3.0])
+    y0 = np.stack([np.exp(1j * freq), 1.0 - 0.5j * freq], axis=1)
+
+    def solve(sel):
+        def rhs(t, y, idx):
+            # a chirped coupling, so step sizes vary along each window
+            w = (freq[sel][idx] * (1.0 + 0.1 * t))[:, None]
+            return -1j * w * y[:, ::-1]
+        return solve_batch(rhs, t0[sel], t1[sel], y0[sel], 1e-10, 1e-12, 200)
+
+    whole = solve(np.arange(8))
+    assert whole.success.tolist() == [True, True, True, False, True, True, True, True]
+    assert whole.n_steps[2] == whole.n_steps[5] == 0
+    assert whole.n_steps[3] == 200
+    assert len(set(whole.n_steps[whole.success & (t1 > t0)].tolist())) == 5
+    for i in range(8):
+        alone = solve(np.array([i]))
+        assert alone.y.tobytes() == whole.y[i:i + 1].tobytes()
+        assert alone.success[0] == whole.success[i]
+        assert alone.n_steps[0] == whole.n_steps[i]

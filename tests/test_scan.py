@@ -581,22 +581,39 @@ class TestCsvContract:
                                              r"where the axes put \(0\.5, "):
             read_scan_csv(path)
 
+    @pytest.mark.parametrize("inner", [SIGNED, POSITIVE])
+    def test_crlf_and_cr_line_ends_read_the_same_bits(self, tmp_path, inner):
+        path, header, rows = self._long_file(tmp_path, inner=inner)
+        want = read_scan_csv(path).values
+        for end in ("\r\n", "\r"):
+            path.write_bytes("".join(header + rows).replace("\n", end).encode())
+            assert read_scan_csv(path).values.tobytes() == want.tobytes(), repr(end)
+
     def test_read_memory_is_bounded_by_the_block(self, tmp_path):
-        ax = SweepAxis("pulse_area_fraction", 0.5, 1.5, 400)
-        ay = SweepAxis("duration_fraction", 0.6, 1.4, 400)
-        path = tmp_path / "map.csv"
-        save_scan_csv(scan_2d(ax, ay, bb_gate(25), PulseSpec.rectangular(PI)), path)
-        tracemalloc.start()
-        try:
-            back = read_scan_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # bound: 2x the values.  Beside the values a read holds one block of
-        # at most 8,192 lines as bytes and its checks: 1.70x measured (1.44x
-        # when numpy parsed every block).  Parsing the whole file at once
-        # measured 4.1x.
-        assert peak < 2 * back.values.nbytes
+        rect = PulseSpec.rectangular(PI)
+        # bounds, in multiples of the values.  Beside the values a read holds
+        # one block of at most 8,192 lines as bytes and its checks: 1.70x
+        # measured on the map (1.44x when numpy parsed every block; parsing
+        # the whole file at once measured 4.1x).  A long curve also holds a
+        # point's worth of axis data per value (its 17-byte texts or read-back
+        # coordinates): 4.69x measured on the positive curve and 4.59x on
+        # the signed one
+        cases = [
+            (scan_2d(SweepAxis("pulse_area_fraction", 0.5, 1.5, 400),
+                     SweepAxis(*POSITIVE, 400), bb_gate(25), rect), 2),
+            (scan_1d(SweepAxis(*POSITIVE, 200_000), bb_gate(1), rect), 5),
+            (scan_1d(SweepAxis(*SIGNED, 200_000), bb_gate(1), rect), 5),
+        ]
+        path = tmp_path / "scan.csv"
+        for result, bound in cases:
+            save_scan_csv(result, path)
+            tracemalloc.start()
+            try:
+                back = read_scan_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * back.values.nbytes, (back.values.shape, peak)
 
     def test_write_is_reproducible(self):
         b1, b2 = io.StringIO(), io.StringIO()

@@ -3,12 +3,12 @@
 Parameter scans need tens of thousands of small independent integrations, so
 instead of one Python-level solver call per grid point this module advances a
 whole batch in lockstep with numpy, each system carrying its own time, step
-size and accept/reject history; its arrays hold only the systems still
-running, packed.  A system's step sequence depends only on its own state,
-which keeps every result bitwise identical no matter how a grid is split
-into batches or when other systems end.  For the same reason stage sums are
-elementwise multiply-adds in a fixed order, never a matrix product, whose
-blocking could make a row's bits depend on the batch size.
+size, parameters and accept/reject history; its arrays hold only the systems
+still running, packed.  A system's step sequence depends only on its own
+state, which keeps every result bitwise identical no matter how a grid is
+split into batches or when other systems end.  For the same reason stage
+sums are elementwise multiply-adds in a fixed order, never a matrix product,
+whose blocking could make a row's bits depend on the batch size.
 
 The stepper is DOP853, the explicit Runge-Kutta method of order 8 by Dormand
 and Prince (Hairer, Norsett and Wanner, *Solving Ordinary Differential
@@ -156,11 +156,12 @@ def solve_batch(
     t_start: np.ndarray,
     t_end: np.ndarray,
     y0: np.ndarray,
+    params: tuple[np.ndarray, ...],
     rtol: float,
     atol: float,
     max_steps: int,
 ) -> BatchResult:
-    """Integrate dy/dt = rhs(t, y, idx) from t_start to t_end per system.
+    """Integrate dy/dt = rhs(t, y, p) from t_start to t_end per system.
 
     Only the systems still running are stepped, packed in their original
     order; one that ends or fails is written out and its rows dropped, so
@@ -169,14 +170,15 @@ def solve_batch(
     Parameters
     ----------
     rhs : callable
-        Vectorized right-hand side, called as ``rhs(t, y, idx)`` on the k
-        running systems: ``t`` (k,), ``y`` (k, d) and ``idx`` their original
-        indices, so per-system parameters can be gathered by the callee.
-        Must return a new C-ordered complex128 array of shape (k, d).
+        Vectorized right-hand side, called as ``rhs(t, y, p)`` on the k
+        running systems: ``t`` (k,), ``y`` (k, d) and ``p`` their rows of
+        ``params``, a sequence of (k,) arrays packed like ``t``.  Must
+        return a new C-ordered complex128 array of shape (k, d).
     t_start, t_end : (m,) arrays
         Integration window per system.  Systems with an empty window keep
         their initial state.
     y0 : (m, d) complex array
+    params : tuple of (m,) arrays
     rtol, atol : float
         Local error control, scipy-style scale atol + rtol * |y|.
     max_steps : int
@@ -190,7 +192,7 @@ def solve_batch(
     n_steps = np.zeros(m, dtype=np.int64)
 
     idx = np.flatnonzero(t1 - t0 > 0.0)
-    t, t_end, y = t0[idx], t1[idx], y_out[idx]
+    t, t_end, y, *p = (x[idx] for x in (t0, t1, y_out, *params))
     span = t_end - t
     n = np.zeros(idx.size, dtype=np.int64)
     # steps never exceed a fixed fraction of the window, so a localized
@@ -205,10 +207,10 @@ def solve_batch(
         hc = hs[:, None]
         y_flat = y.view(np.float64)
 
-        k = [rhs(t, y, idx).view(np.float64)]
+        k = [rhs(t, y, p).view(np.float64)]
         for c, row in zip(_C[1:], _A[1:]):
             stage_y = (y_flat + hc * _combine(row, k)).view(np.complex128)
-            k.append(rhs(t + c * hs, stage_y, idx).view(np.float64))
+            k.append(rhs(t + c * hs, stage_y, p).view(np.float64))
         y_new = (y_flat + hc * _combine(_B, k)).view(np.complex128)
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -238,7 +240,7 @@ def solve_batch(
         if done.any():
             ended = idx[done]
             y_out[ended], success[ended], n_steps[ended] = y[done], ~failed[done], n[done]
-            idx, t, t_end, y, h, h_cap, span, n = (
-                x[~done] for x in (idx, t, t_end, y, h, h_cap, span, n))
+            idx, t, t_end, y, h, h_cap, span, n, *p = (
+                x[~done] for x in (idx, t, t_end, y, h, h_cap, span, n, *p))
 
     return BatchResult(y=y_out, success=success, n_steps=n_steps)

@@ -218,6 +218,8 @@ def _run_scan(
         )
     if "detuning_times_T" in names and template.model != "constant":
         raise ValueError("a detuning sweep requires the constant-detuning model")
+    if any(ax.start < 0 for ax in axes if ax.parameter != "detuning_times_T"):
+        raise ValueError("only a detuning_times_T axis may start below 0")
     grids = [ax.grid() for ax in axes]
     shape = tuple(g.size for g in grids)
     # overflow and NaN surface as non-finite points, which _check_points

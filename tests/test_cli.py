@@ -248,6 +248,16 @@ class TestScanCommand:
         assert "finite" in err
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("axis",
+                             ["pulse_area_fraction", "peak_rabi_times_T", "duration_fraction"])
+    def test_negative_pulse_axis_rejected(self, capsys, tmp_path, monkeypatch, axis):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *self.BASE[:8], axis, "--range=-1:1",
+                           *self.BASE[11:])
+        assert code == 2
+        assert "below 0" in err
+        assert not (tmp_path / "scan.csv").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_infidelity_exit_code(self, capsys, tmp_path, monkeypatch):
         # overflowing axis values fail the scan without numpy warnings

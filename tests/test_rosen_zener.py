@@ -22,7 +22,7 @@ from cpgates.pulses import (
     integrate_pulse_grid,
 )
 
-TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+TIGHT = IntegratorConfig(rel_tol=1e-12)
 
 
 def test_matches_the_integrator():

@@ -194,6 +194,14 @@ class TestScan1D:
          "distinct"),
         ((("pulse_area_fraction", 0.5, 1.5, 5), ("peak_rabi_times_T", 0.5, 1.5, 5)),
          PulseSpec.rectangular(PI), "peak Rabi"),
+        # a negative area, Rabi frequency or duration is no pulse; a point
+        # query rejects it too
+        ((("pulse_area_fraction", -1.0, 1.0, 5),), PulseSpec.rectangular(PI),
+         "below 0"),
+        ((("peak_rabi_times_T", -1.0, 1.0, 5),), PulseSpec.sech(1.0, chirp_rate=1.0),
+         "below 0"),
+        ((("detuning_times_T", -1.0, 1.0, 5), ("duration_fraction", -1.0, 1.0, 5)),
+         PulseSpec.rectangular(PI), "below 0"),
     ])
     def test_bad_axes_fail_before_any_pulse(self, monkeypatch, axes, template, match):
         def no_pulses(*args):

@@ -21,7 +21,13 @@ arrays: rectangular pulses the Rabi form of :func:`rect_propagator_grid`
 :func:`_rosen_zener_grid`.  Only the
 tanh-chirped model is integrated numerically, by
 :func:`integrate_pulse_grid`, sech pulses over the fixed window of
-:data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side.  Inside a
+:data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side.  Its envelope
+Omega0 sech(t/T) and its detuning phase D(t) = B*T*(ln cosh(t/T) - ln cosh w)
+are both even, so H(-t) = H(t), and since H* = sigma_x H sigma_x the first
+half of the window mirrors the second: U(0, -wT) = (sigma_x U(wT, 0)
+sigma_x)^T.  Only [0, wT] is integrated; from that half's (a_h, b_h) the
+pulse is a = |a_h|^2 - |b_h|^2, real, and b = 2 a_h b_h.  D still counts
+from the window start -wT, so b keeps the window-start phase.  Inside a
 :func:`grid_reuse` scope, which ``cpgates preset`` opens for one command, an
 integrated grid whose inputs repeat exactly is integrated once and handed
 out again; nothing is kept once the scope ends.
@@ -48,6 +54,7 @@ import cmath
 import contextlib
 import contextvars
 import math
+import numbers
 import types
 from dataclasses import dataclass
 from typing import Iterator
@@ -184,8 +191,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:  # NaN fails too
             raise ValueError("rel_tol must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        # a NaN budget never trips; a bool is an Integral but not a count
+        if (not isinstance(self.max_steps, numbers.Integral)
+                or isinstance(self.max_steps, bool) or self.max_steps < 1):
+            raise ValueError("max_steps must be an integer of at least 1")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -347,10 +356,19 @@ def integrate_pulse_grid(
     the stepper's tolerances follow from ``config.rel_tol``.  Returns flat
     arrays (a, b) of Cayley-Klein parameters, a boolean success mask and
     the step attempts per pulse.  Zero-duration entries come back as the
-    identity.  Pulses with a constant detuning normally take their closed
-    form (see :func:`constituent_grid`); they are integrated here only to
-    check the integrator against that form, and that form against it.
+    identity.  A tanh chirp has H(-t) = H(t), so only [0, w*T] is
+    integrated, w = ``window_half_width``, and that half's (a_h, b_h) give
+    the pulse as a = |a_h|^2 - |b_h|^2, b = 2 a_h b_h (see the module
+    docstring); its steps are the half's, its unitarity defect the whole
+    pulse's, and its detuning phase counts from the window start -w*T, so
+    b carries the window-start phase.  A rectangular chirp has no such
+    symmetry and is refused.  Pulses with a constant detuning normally take
+    their closed form (see :func:`constituent_grid`); they are integrated
+    here only to check the integrator against that form, and that form
+    against it.
     """
+    if shape == "rectangular" and model == "tanh_chirp":
+        raise ValueError("rectangular pulses take a constant detuning, not a chirp")
     omega0 = np.asarray(omega0, dtype=float)
     duration = np.asarray(duration, dtype=float)
     rate = np.asarray(rate, dtype=float)
@@ -370,9 +388,11 @@ def integrate_pulse_grid(
         # D(t) = rate * (t - t_start)
         per_system = (0.5 * omega0, inv_width, rate, t_start)
     else:
-        # D(t) = rate * width * (ln cosh(t/width) - ln cosh(t_start/width))
+        # D(t) = rate * width * (ln cosh(t/width) - ln cosh(t_start/width)),
+        # even in t like the envelope, so only [0, t_end] is integrated
         per_system = (0.5 * omega0, inv_width, rate * safe_width,
                       _log_cosh(t_start * inv_width))
+        t_start = np.zeros(m)
 
     def rhs(t, y, p):
         half_omega, inv_w, phase_rate, phase_offset = p
@@ -399,6 +419,8 @@ def integrate_pulse_grid(
     )
     a = result.y[:, 0]
     b = -np.conj(result.y[:, 1])
+    if model == "tanh_chirp":  # U = U(wT, 0) (sigma_x U(wT, 0) sigma_x)^T
+        a, b = (np.abs(a) ** 2 - np.abs(b) ** 2).astype(complex), 2.0 * a * b
     defect = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)
     ok = result.success & (defect <= 10.0 * config.rel_tol)
     return a, b, ok, result.n_steps

@@ -1,12 +1,14 @@
 """Pulse propagators against independent references.
 
 The numerical integrator is validated three ways: the constant-generator
-matrix exponential for rectangular detuned pulses, the Rosen-Zener and
-Allen-Eberly closed forms for sech pulses, and scipy's own adaptive solver
-on random pulse parameters.  The closed-form rectangular propagator is held
-to the same matrix exponential.
+matrix exponential for rectangular detuned pulses, the Rosen-Zener,
+Allen-Eberly and Demkov-Kunike closed forms for sech pulses (the last, for
+a and b of the chirp, on scipy's log-gamma), and scipy's own adaptive
+solver on random pulse parameters.  The closed-form rectangular propagator
+is held to the same matrix exponential.
 """
 
+import cmath
 import math
 import re
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.special import loggamma
 
 from cpgates import pulses
 from cpgates.pulses import (
@@ -45,6 +48,32 @@ def rect_oracle(area: float, delta_t: float):
     u = expm(-1j * ht)
     s = np.diag([np.exp(-0.5j * delta_t), np.exp(0.5j * delta_t)])
     return s @ u
+
+
+def demkov_kunike(rabi_t: float, chirp_t: float):
+    """Closed-form (a, b) of a sech pulse with a tanh chirp over all time.
+
+    Demkov and Kunike (1969); Allen and Eberly, *Optical Resonance and
+    Two-Level Atoms*.  With alpha = Omega0*T/2, beta = B*T/2 and
+    nu = sqrt(alpha^2 - beta^2), the equations reduce to Gauss's
+    hypergeometric equation in z = (1 + tanh(t/T))/2, and
+
+        a = Gamma(1/2 + i beta) Gamma(1/2 - i beta)
+            / (Gamma(1/2 + nu) Gamma(1/2 - nu)) = cos(pi nu) / cosh(pi beta),
+        b = -i alpha Gamma(1/2 + i beta)^2 / (Gamma(1 + i beta + nu)
+            Gamma(1 + i beta - nu)) * e^{2 i beta (ln cosh w + ln 2)},
+
+    where the last factor moves b's phase to the window start at -w*T, with
+    w = DEFAULT_WINDOW_HALF_WIDTH, as the pulse layer measures it.
+    """
+    alpha, beta = 0.5 * rabi_t, 0.5 * chirp_t
+    nu = cmath.sqrt(alpha**2 - beta**2)
+    a = (cmath.cos(PI * nu) / math.cosh(PI * beta)).real
+    w = pulses.DEFAULT_WINDOW_HALF_WIDTH
+    log_b = (2.0 * loggamma(0.5 + 1j * beta) - loggamma(1.0 + 1j * beta + nu)
+             - loggamma(1.0 + 1j * beta - nu)
+             + 2j * beta * (math.log(math.cosh(w)) + math.log(2.0)))
+    return a, -1j * alpha * cmath.exp(log_b)
 
 
 def integrate_one(spec: PulseSpec, config: IntegratorConfig = IntegratorConfig()):
@@ -194,6 +223,9 @@ class TestPulseSpecValidation:
                 IntegratorConfig(rel_tol=rel_tol)
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
+        for max_steps in (math.nan, math.inf, 2.5, True):  # NaN never tripped
+            with pytest.raises(ValueError, match="max_steps"):
+                IntegratorConfig(max_steps=max_steps)
 
 
 class TestIntegratedRectangular:
@@ -216,6 +248,12 @@ class TestIntegratedRectangular:
     def test_zero_duration_is_identity(self):
         got = integrate_one(PulseSpec("rectangular", 1.0, 0.0))
         assert got.a == 1.0 and got.b == 0.0
+
+    def test_chirp_is_refused(self):
+        # the chirp is mirrored about the centre of a sech window
+        with pytest.raises(ValueError, match="not a chirp"):
+            integrate_pulse_grid("rectangular", "tanh_chirp", np.ones(1), np.ones(1),
+                                 np.ones(1), pulses.DEFAULT_WINDOW_HALF_WIDTH, TIGHT)
 
 
 class TestIntegratedSech:
@@ -241,6 +279,27 @@ class TestIntegratedSech:
         root = np.sqrt(complex(rabi_t**2 - chirp_t**2))
         want = abs(np.cos(PI * root / 2.0)) ** 2 / math.cosh(PI * chirp_t / 2.0) ** 2
         assert abs(abs(got.a) ** 2 - want) < 1e-8
+
+    def test_chirp_matches_demkov_kunike(self):
+        # the chirp is integrated over half its window and mirrored; the
+        # closed form checks the whole pulse, b's window-start phase included
+        rng = np.random.default_rng(1969)
+        cases = [(1.0, 0.0, 1.0),  # Omega0 = 0
+                 (0.7, 2.3, 0.0),  # B = 0: Rosen-Zener on resonance
+                 (1.5, 1.0, 3.0),  # beta > alpha: nu imaginary
+                 (2.0, 3.0, -1.0)]  # B < 0
+        cases += zip(rng.uniform(0.3, 3.0, 16), rng.uniform(0.0, 8.0, 16),
+                     rng.uniform(-4.0, 4.0, 16))
+        width, rabi_t, chirp_t = np.array(cases).T
+        a, b, ok, _ = integrate_pulse_grid("sech", "tanh_chirp", rabi_t / width, width,
+                                           chirp_t / width,
+                                           pulses.DEFAULT_WINDOW_HALF_WIDTH, TIGHT)
+        assert ok.all()
+        assert (a.imag == 0.0).all()
+        for i in range(len(cases)):
+            want_a, want_b = demkov_kunike(rabi_t[i], chirp_t[i])
+            assert abs(a[i] - want_a) < 1e-9
+            assert abs(b[i] - want_b) < 1e-9
 
     def test_chirp_sign_symmetry(self):
         # symmetric envelope with antisymmetric detuning: |a| is even in the sweep

@@ -26,21 +26,19 @@ duration T0:
 CSV output carries the full metadata as '#'-prefixed header lines followed
 by "x[,y],F" rows in scientific notation with 12 significant digits.  Axis
 bounds are written exactly, so write, read and write again gives the same
-bytes.  The writer spells the digits of a block of whole rows (at most
-8,192 values) in numpy, byte for byte Python's "%.11e": integer arithmetic
+bytes.  The writer and the reader walk the rows in the same blocks of whole
+rows (at most 8,192 values), each with its coordinates' codes.  The writer
+spells digits in numpy, byte for byte Python's "%.11e": integer arithmetic
 on a 12-digit mantissa scaled to within 2.3e-4, with Python's own format
 for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
-finite.  It lays a block's lines out in one byte array made once per
-write and emits their bytes, so what it holds is bounded by the block.
-
-A read, too, takes a block at a time and checks every row's coordinates.
-Where every axis value has the canonical 17 bytes, d.ddddddddddde+dd (no
-sign, two exponent digits), a block of such lines is read as a fixed-width
-byte array: coordinates are compared as bytes with the axes' texts, and
-values come from numpy's bytes-to-float cast.  fig1, fig2 and maps over
-positive axes read this way.  Negative coordinates (fig3, fig4), or a block
-off that layout (a comment, a CRLF, a signed value, three exponent digits),
-send the rest of the file to numpy.loadtxt.  Both give float() of a field.
+finite.  It fills one byte array per write, so it holds one block.  The
+reader takes a block whose coordinates have the canonical 17 bytes,
+d.ddddddddddde+dd (no sign, two exponent digits), as fixed-width bytes:
+coordinates compared as bytes with the block's codes, values cast by numpy.
+fig1, fig2 and maps over positive axes read this way.  Negative coordinates
+(fig3, fig4), or a block off that layout (a comment, a CRLF, a signed value,
+three exponent digits), send the rest of the file to numpy.loadtxt.  Both
+give float() of a field.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -118,8 +117,10 @@ class SweepAxis:
             raise ValueError("axis start and stop must be finite")
         if not (self.start < self.stop):
             raise ValueError("axis start must be below stop")
-        if not (2 <= self.samples <= _MAX_SAMPLES):
-            raise ValueError(f"samples must be in [2, {_MAX_SAMPLES}]")
+        # a bool is an Integral but not a count
+        if (not isinstance(self.samples, numbers.Integral) or isinstance(self.samples, bool)
+                or not 2 <= self.samples <= _MAX_SAMPLES):
+            raise ValueError(f"samples must be an integer in [2, {_MAX_SAMPLES}]")
         if self.spacing not in ("linear", "log"):
             raise ValueError("spacing must be 'linear' or 'log'")
         if self.spacing == "log" and self.start <= 0:
@@ -376,9 +377,10 @@ _DIGIT_COLUMNS = ((7, 6, 5, 4, 3, 1), (13, 12, 11, 10, 9, 8))
 def _format_e11(values: np.ndarray) -> np.ndarray:
     """``b"%.11e" % v`` of every value, one row of 19 ASCII codes each.
 
-    Column 0 holds "-" or NUL, and NULs pad each text to 19 codes.  The
-    exponent comes from ``log10``, the 12-digit mantissa is
-    ``rint(|v| * 10**(11 - e))``, and integer division spells its digits.
+    Column 0 holds "-" or NUL, so a text's first digit sits at column 1,
+    and NULs pad each text to 19 codes.  The exponent comes from ``log10``,
+    the 12-digit mantissa is ``rint(|v| * 10**(11 - e))``, and integer
+    division spells its digits.
     The scaled value is within 2.3e-4 of its exact value (one rounding in
     the power of ten and one in the product), so ``rint`` decides exactly
     unless the fraction lies within 1e-3 of one half.  Those values, and
@@ -422,18 +424,43 @@ def _format_e11(values: np.ndarray) -> np.ndarray:
                 text[:, column] = rest - 10 * quotient + ord("0")
                 rest = quotient
     slow = np.flatnonzero(slow)
-    python = np.array([b"%.11e" % x for x in v[slow].tolist()], f"S{_FIELD}")
+    # "% .11e" leaves a space where "-" would go: a NUL, as on the fast path
+    python = np.array([(b"% .11e" % x).replace(b" ", b"\0") for x in v[slow].tolist()],
+                      f"S{_FIELD}")
     text[slow] = python.view(np.uint8).reshape(-1, _FIELD)
     return text
+
+
+def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
+    """A scan's data rows in the blocks that the CSV writer and reader walk.
+
+    A block is whole rows of at most 8,192 values, or part of one row if the
+    inner axis is longer.  It comes as its first flat index and the
+    :func:`_format_e11` rows of its outer coordinates (None for a curve),
+    sliced from those of up to 8,192 rows, and of its inner ones, made once
+    unless the inner axis spans blocks.
+    """
+    *outer, inner = (ax.grid() for ax in axes)
+    step = min(inner.size, _BLOCK)  # inner values per block
+    rows = _BLOCK // step  # whole rows per block
+    span = rows * (_BLOCK // rows)  # outer values formatted at once, in whole blocks
+    y = None
+    for c in range(0, outer[0].size if outer else 1, span):
+        xs = _format_e11(outer[0][c:c + span]) if outer else [None]
+        for r in range(0, len(xs), rows):
+            for lo in range(0, inner.size, step):
+                if y is None or step < inner.size:
+                    y = _format_e11(inner[lo:lo + step])
+                yield (c + r) * inner.size + lo, xs[r:r + rows] if outer else None, y
 
 
 def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | bytearray]:
     """The CSV contract as bytes: the UTF-8 header, then one chunk per block.
 
-    A block is whole rows of at most 8,192 values, or part of one row if the
-    inner axis is longer.  Its lines are laid out in one array made once per
-    write, into which the inner axis goes once, or per block if it spans
-    blocks; a block fills in its other fields and comes out NULs dropped.
+    A block of :func:`_blocks` is laid out in one bytearray made for the
+    first, the largest, with its separators set once and the inner
+    coordinates written when they change.  It comes out NULs dropped, in one
+    pass and with no copy of its own as ``tobytes`` would make.
     """
     header = ["# cpgates-scan\n"]
     for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
@@ -449,45 +476,25 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
     header.append(f"# columns: {names},infidelity\n")
     yield "".join(header).encode("utf-8")
 
-    *outer, inner = (ax.grid() for ax in result.axes)
-    values = result.values.reshape(-1, inner.size)
-    step = min(inner.size, _BLOCK)  # inner values per block
-    rows = _BLOCK // step  # whole rows per block
-    whole, text = _line_buffer((rows, step), len(result.axes) + 1)
+    columns = len(result.axes) + 1
+    values = result.values.ravel()
     built = None
-    for r in range(0, len(values), rows):
-        for lo in range(0, inner.size, step):
-            if built != lo:  # per row only if the inner axis spans blocks
-                built, y = lo, _format_e11(inner[lo:lo + step])
-                text[:, :len(y), -2, :_FIELD] = y
-            block = values[r:r + rows, lo:lo + step]
-            lines = text[:block.shape[0], :block.shape[1]]
-            if outer:
-                lines[:, :, 0, :_FIELD] = _format_e11(outer[0][r:r + rows])[:, None]
-            lines[:, :, -1, :_FIELD] = _format_e11(block).reshape(*block.shape, _FIELD)
-            # lines is text or a leading part of it
-            yield (whole if lines.size == len(whole) else whole[:lines.size]).translate(None, b"\0")
-
-
-def _line_buffer(shape: tuple[int, ...], columns: int) -> tuple[bytearray, np.ndarray]:
-    """Room for CSV lines: a bytearray and its ``(*shape, columns, 20)`` view.
-
-    A field takes 19 codes, then "," or "\\n".  The bytearray drops its NULs
-    in one pass, with no copy of its own as ``tobytes`` would make.
-    """
-    whole = bytearray(math.prod(shape) * columns * (_FIELD + 1))
-    text = np.frombuffer(whole, np.uint8).reshape(*shape, columns, _FIELD + 1)
-    text[..., :-1, _FIELD] = ord(",")
-    text[..., -1, _FIELD] = ord("\n")
-    return whole, text
-
-
-def _lines(fields: list[np.ndarray]) -> str:
-    """CSV lines of broadcast field texts from :func:`_format_e11`, NULs dropped."""
-    whole, text = _line_buffer(np.broadcast_shapes(*(f.shape[:-1] for f in fields)), len(fields))
-    for k, field in enumerate(fields):
-        text[..., k, :_FIELD] = field
-    return whole.translate(None, b"\0").decode("ascii")
+    for start, x, y in _blocks(result.axes):
+        shape = (1 if x is None else len(x), len(y))
+        if built is None:  # a field takes 19 codes, then "," or "\n"
+            whole = bytearray(math.prod(shape) * columns * (_FIELD + 1))
+            text = np.frombuffer(whole, np.uint8).reshape(*shape, columns, _FIELD + 1)
+            text[..., :-1, _FIELD] = ord(",")
+            text[..., -1, _FIELD] = ord("\n")
+        lines = text[:shape[0], :shape[1]]  # text or a leading part of it
+        if built is not y:
+            built = y
+            lines[:, :, -2, :_FIELD] = y
+        if x is not None:
+            lines[:, :, 0, :_FIELD] = x[:, None]
+        block = values[start:start + math.prod(shape)]
+        lines[:, :, -1, :_FIELD] = _format_e11(block).reshape(*shape, _FIELD)
+        yield (whole if lines.size == len(whole) else whole[:lines.size]).translate(None, b"\0")
 
 
 def write_scan_csv(result: ScanResult, stream: IO[str],
@@ -496,8 +503,7 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
 
     ``extra_header`` entries (e.g. a run manifest with command line and
     timestamp) are emitted before the scan metadata.  Every value is
-    written as ``"%.11e" % v`` would write it, by :func:`_format_e11` on
-    blocks of whole rows of at most 8,192 values.  The text is that of
+    written as ``"%.11e" % v`` would write it; the text is that of
     :func:`save_scan_csv`, decoded a block at a time.
     """
     for chunk in _csv_bytes(result, extra_header):
@@ -519,27 +525,27 @@ _LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
 _SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
 
 
-def _canonical_rows(lines: np.ndarray, texts: list[np.ndarray], at) -> np.ndarray | None:
+def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | None:
     """Values of a block of canonical lines, or None if any byte is off.
 
-    ``lines`` holds the block, one line of ``18 * columns`` codes per row;
-    ``texts`` holds every axis's coordinate texts, ``(samples, 17)`` codes,
-    and ``at`` the axis indices of the block's rows.  Every byte is checked:
-    the separators, the coordinates against their texts, and the value
-    field's layout.  The values come from numpy's bytes-to-float cast,
-    which rounds correctly, so they equal ``float`` of each field.
+    ``lines`` holds the block as ``(rows, values, line)`` codes, and
+    ``codes`` the :func:`_format_e11` rows of each axis's coordinates, which
+    broadcast over it.  Every byte is checked: the separators, coordinates
+    against columns 1-17 of their codes, and the value field's layout.
+    numpy's bytes-to-float cast of the values rounds correctly, so they
+    equal ``float`` of each field.
     """
-    ends = lines[:, _CANONICAL::_CANONICAL + 1]
-    if not ((ends[:, :-1] == ord(",")).all() and (ends[:, -1] == ord("\n")).all()):
+    ends = lines[..., _CANONICAL::_CANONICAL + 1]
+    if not ((ends[..., :-1] == ord(",")).all() and (ends[..., -1] == ord("\n")).all()):
         return None
-    for i, (text, k) in enumerate(zip(texts, at)):
+    for i, code in enumerate(codes):
         lo = i * (_CANONICAL + 1)
-        if not np.array_equal(lines[:, lo:lo + _CANONICAL], text[k]):
+        if not (lines[..., lo:lo + _CANONICAL] == code[..., 1:_CANONICAL + 1]).all():
             return None
-    value = lines[:, -_CANONICAL - 1:-1]
-    if not (((value - _LOWEST) <= _SPAN).all() and (value[:, 14] != ord(",")).all()):
+    value = lines[..., -_CANONICAL - 1:-1]
+    if not (((value - _LOWEST) <= _SPAN).all() and (value[..., 14] != ord(",")).all()):
         return None
-    return value.view(f"S{_CANONICAL}")[:, 0]
+    return value.view(f"S{_CANONICAL}").reshape(-1)
 
 
 def read_scan_csv(path) -> ScanResult:
@@ -551,18 +557,17 @@ def read_scan_csv(path) -> ScanResult:
     ``columns``, which the axes imply.  Writing the result again gives the
     same bytes.
 
-    The rows are read a block of at most 8,192 lines at a time into the
-    values array.  If every coordinate of the axes is written in the
-    canonical 17 bytes (no sign, a two-digit exponent), blocks of lines of
-    17-byte fields are read as fixed-width byte arrays and taken as they
-    stand while their coordinates equal the axes' texts and their values
-    have the canonical layout (:func:`_canonical_rows`).  From the first
-    block that does not, and after the last expected row, ``numpy.loadtxt``
-    parses the text as before, skipping blank and comment lines; its errors
-    name the file's data row.  Values are ``float`` of each field either
-    way.  A file with another number of rows or fields than its axes call
-    for, or a row whose coordinates are not ``float("%.11e" % g)`` of its
-    grid point, raises ValueError.
+    The rows are read a block of :func:`_blocks` at a time into the values
+    array.  A block whose coordinate codes are canonical (no sign, a
+    two-digit exponent) is read as fixed-width bytes and taken as it stands
+    if its coordinates equal those codes and its values have the canonical
+    layout (:func:`_canonical_rows`).  From the first block that does not,
+    and after the last expected row, ``numpy.loadtxt`` parses the text 8,192
+    lines at a time, skipping blank and comment lines; its errors name the
+    file's data row.  Values are ``float`` of each field either way.  A
+    file with another number of rows or fields than its axes call for, a
+    row whose coordinates are not ``float("%.11e" % g)`` of its grid point
+    or an axis line without a key raises ValueError.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -578,8 +583,11 @@ def read_scan_csv(path) -> ScanResult:
             if body.startswith("axis"):
                 _, spec = body.split(":", 1)
                 f = dict(item.split("=") for item in spec.split())
-                axes.append(SweepAxis(f["parameter"], float(f["start"]), float(f["stop"]),
-                                      int(f["samples"]), f["spacing"]))
+                try:
+                    axes.append(SweepAxis(f["parameter"], float(f["start"]), float(f["stop"]),
+                                          int(f["samples"]), f["spacing"]))
+                except KeyError as err:
+                    raise ValueError(f"{path}: an axis line lacks {err.args[0]}=") from None
             elif ":" in body:
                 key, value = (part.strip() for part in body.split(":", 1))
                 if key != "columns":
@@ -596,23 +604,25 @@ def read_scan_csv(path) -> ScanResult:
                              f"rows of {width} fields, found 0 rows")
         fh.seek(data)
         values = np.empty(size)  # a read holds its values and one block
-        texts = [_canonical_text(ax.grid()) for ax in axes]
         found, fields = 0, width
         line_width = (_CANONICAL + 1) * width
-        if all(text is not None for text in texts):
-            block = np.empty(_BLOCK * line_width, np.uint8)
-            while found < size:
-                n = min(_BLOCK, size - found)
-                at, raw = fh.tell(), block[:n * line_width]
-                rows = None
-                if fh.readinto(raw) == raw.size:
-                    rows = _canonical_rows(raw.reshape(n, line_width), texts,
-                                           np.unravel_index(np.arange(found, found + n), shape))
-                if rows is None:
-                    fh.seek(at)
-                    break
-                values[found:found + n] = rows
-                found += n
+        raw = None  # made once a block's coordinates are canonical
+        for start, x, y in _blocks(tuple(axes)):
+            codes = [y] if x is None else [x[:, None], y]
+            # a sign (column 0) or a third exponent digit (column 18)
+            if any((code[..., 0] | code[..., -1]).any() for code in codes):
+                break
+            if raw is None:
+                raw = np.empty(_BLOCK * line_width, np.uint8)
+            layout = (1 if x is None else len(x), len(y), line_width)
+            at, block, rows = fh.tell(), raw[:math.prod(layout)], None
+            if fh.readinto(block) == block.size:
+                rows = _canonical_rows(block.reshape(layout), codes)
+            if rows is None:
+                fh.seek(at)
+                break
+            found = start + len(rows)
+            values[start:found] = rows
         # the coordinates as the file holds them, if rows remain to check
         written = [_read_back(ax.grid()) for ax in axes] if found < size else []
         lines = io.TextIOWrapper(fh, encoding="utf-8")  # as a text read, from here
@@ -648,21 +658,9 @@ def read_scan_csv(path) -> ScanResult:
 
 def _read_back(grid: np.ndarray) -> np.ndarray:
     """float("%.11e" % g) of every grid value: the coordinates a file holds."""
-    return np.concatenate([
-        np.array(_lines([_format_e11(grid[lo:lo + _BLOCK])]).split(), dtype=float)
-        for lo in range(0, grid.size, _BLOCK)
-    ])
-
-
-def _canonical_text(grid: np.ndarray) -> np.ndarray | None:
-    """"%.11e" % g of every grid value as ``(samples, 17)`` codes, or None
-    if a text is not canonical."""
-    codes = np.empty((grid.size, _CANONICAL), np.uint8)
+    back = np.empty(grid.size)
     for lo in range(0, grid.size, _BLOCK):
-        text = _lines([_format_e11(grid[lo:lo + _BLOCK])]).encode()
-        part = codes[lo:lo + _BLOCK]
-        # no text is shorter than 17 bytes, so none is longer if they add up
-        if len(text) != (_CANONICAL + 1) * len(part):
-            return None
-        part[:] = np.frombuffer(text, np.uint8).reshape(len(part), -1)[:, :-1]
-    return codes
+        codes = _format_e11(grid[lo:lo + _BLOCK])
+        codes[codes[:, 0] == 0, 0] = ord("+")  # the cast stops at a NUL
+        back[lo:lo + _BLOCK] = codes.view(f"S{_FIELD}")[:, 0]
+    return back

@@ -67,6 +67,10 @@ class TestSweepAxis:
             dict(parameter="pulse_area_fraction", start=0, stop=math.inf, samples=5),
             dict(parameter="pulse_area_fraction", start=-math.inf, stop=1, samples=5),
             dict(parameter="pulse_area_fraction", start=math.nan, stop=1, samples=5),
+            dict(parameter="pulse_area_fraction", start=0.5, stop=1.5, samples=2.5),
+            dict(parameter="pulse_area_fraction", start=0.5, stop=1.5, samples=3.0),
+            dict(parameter="pulse_area_fraction", start=0.5, stop=1.5, samples="3"),
+            dict(parameter="pulse_area_fraction", start=0.5, stop=1.5, samples=True),
         ],
     )
     def test_rejects_bad_axes(self, kwargs):
@@ -468,6 +472,16 @@ class TestCsvContract:
         with pytest.raises(ValueError, match="found 0 rows$"):
             read_scan_csv(path)
 
+    @pytest.mark.parametrize("key", ["parameter", "spacing", "start", "stop", "samples"])
+    def test_an_axis_line_without_a_key_names_it(self, tmp_path, key):
+        path, header, rows = self._map_file(tmp_path)
+        header = [re.sub(rf" {key}=\S+", "", ln) if ln.startswith("# axis1:") else ln
+                  for ln in header]
+        path.write_text("".join(header + rows))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: an axis line "
+                                             rf"lacks {key}=$"):
+            read_scan_csv(path)
+
     def test_rows_out_of_place_name_the_first(self, tmp_path):
         path, header, rows = self._map_file(tmp_path)
         rows[5], rows[7] = rows[7], rows[5]  # same x, other detunings
@@ -550,13 +564,16 @@ class TestCsvContract:
         # every two-digit exponent, and zeros, in a map of positive axes
         values = 10.0 ** rng.uniform(-99.0, 99.99, (25, 8000))
         values.flat[rng.choice(values.size, 100, replace=False)] = 0.0
-        axes = (SweepAxis("pulse_area_fraction", 0.5, 1.5, 25),
-                SweepAxis("duration_fraction", 0.6, 1.4, 8000))
+        names = ("pulse_area_fraction", "duration_fraction")
+        axes = (SweepAxis(names[0], 0.5, 1.5, 25), SweepAxis(names[1], 0.6, 1.4, 8000))
         save_scan_csv(ScanResult(axes=axes, values=values), tmp_path / "random.csv")
         self._long_file(tmp_path, inner=POSITIVE)
         save_scan_csv(scan_1d(SweepAxis("pulse_area_fraction", 0.0, 2.0, 20_000), bb_gate(5),
                               PulseSpec.rectangular(PI)), tmp_path / "curve.csv")
-        paths = [tmp_path / name for name in ("random.csv", "long.csv", "curve.csv")]
+        # coordinates at a rounding tie, which take Python's own format
+        tie = tuple(SweepAxis(name, 1.000000000005, 2.0, 3) for name in names)
+        save_scan_csv(ScanResult(axes=tie, values=values[:3, :3]), tmp_path / "tie.csv")
+        paths = [tmp_path / name for name in ("random.csv", "long.csv", "curve.csv", "tie.csv")]
         whole = [np.loadtxt(path, delimiter=",", comments="#", ndmin=2)[:, -1] for path in paths]
 
         def refuse(*args, **kwargs):
@@ -600,16 +617,16 @@ class TestCsvContract:
     def test_read_memory_is_bounded_by_the_block(self, tmp_path):
         rect = PulseSpec.rectangular(PI)
         # bounds, in multiples of the values.  Beside the values a read holds
-        # one block of at most 8,192 lines as bytes and its checks: 1.70x
+        # one block of at most 8,192 lines as bytes and its checks: 1.59x
         # measured on the map (1.44x when numpy parsed every block; parsing
-        # the whole file at once measured 4.1x).  A long curve also holds a
-        # point's worth of axis data per value (its 17-byte texts or read-back
-        # coordinates): 4.69x measured on the positive curve and 4.59x on
-        # the signed one
+        # the whole file at once measured 4.1x).  A long curve also holds its
+        # axis grid: 2.75x measured on the positive curve, 4.69x when the
+        # reader kept every coordinate's 17-byte text.  The signed curve,
+        # parsed by numpy, holds the read-back coordinates as well: 3.66x
         cases = [
             (scan_2d(SweepAxis("pulse_area_fraction", 0.5, 1.5, 400),
                      SweepAxis(*POSITIVE, 400), bb_gate(25), rect), 2),
-            (scan_1d(SweepAxis(*POSITIVE, 200_000), bb_gate(1), rect), 5),
+            (scan_1d(SweepAxis(*POSITIVE, 200_000), bb_gate(1), rect), 3),
             (scan_1d(SweepAxis(*SIGNED, 200_000), bb_gate(1), rect), 5),
         ]
         path = tmp_path / "scan.csv"
@@ -755,8 +772,12 @@ class TestFormatter:
         assert values.size >= 1_000_000
         for lo in range(0, values.size, BLOCK):
             block = values[lo:lo + BLOCK]
-            written = scan._lines([scan._format_e11(block)]).splitlines()
-            assert written == ["%.11e" % v for v in block.tolist()]
+            codes = scan._format_e11(block)
+            written = [t.replace(b"\0", b"") for t in codes.view("S19")[:, 0].tolist()]
+            assert written == [b"%.11e" % v for v in block.tolist()]
+            # an unsigned text's first digit at column 1, Python's texts too
+            unsigned = codes[codes[:, 0] != ord("-")]
+            assert (unsigned[:, 0] == 0).all() and (unsigned[:, 1] != 0).all()
 
 
 def test_scan_result_shape_validation():

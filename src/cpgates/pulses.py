@@ -4,12 +4,13 @@ All models are written in the interaction picture, where the Hamiltonian is
 purely off-diagonal,
 
     H(t) = (1/2) * Omega(t) * exp(-i D(t)) |1><2| + h.c.,
-    D(t) = integral of Delta(t') from the window start to t,
+    D(t) = integral of Delta(t') from the pulse's own t = 0 to t,
 
 so every propagator has unit determinant and the field-phase map of
-:func:`cpgates.su2.with_phase` is exact for all pulse models.  The detuning
-phase D(t) restarts at each pulse's own window start; a composite sequence
-therefore sees one fixed constituent propagator, phased pulse by pulse.
+:func:`cpgates.su2.with_phase` is exact for all pulse models.  t = 0 is a
+rectangular pulse's start and a sech pulse's centre, and D restarts there
+for each pulse; a composite sequence therefore sees one fixed constituent
+propagator, phased pulse by pulse.
 
 A pulse is named by the same strings everywhere: a shape ("rectangular" or
 "sech") and a detuning model ("constant" or "tanh_chirp") with its rate.
@@ -21,16 +22,15 @@ arrays: rectangular pulses the Rabi form of :func:`rect_propagator_grid`
 :func:`_rosen_zener_grid`.  Only the
 tanh-chirped model is integrated numerically, by
 :func:`integrate_pulse_grid`, sech pulses over the fixed window of
-:data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side.  Its envelope
-Omega0 sech(t/T) and its detuning phase D(t) = B*T*(ln cosh(t/T) - ln cosh w)
-are both even, so H(-t) = H(t), and since H* = sigma_x H sigma_x the first
-half of the window mirrors the second: U(0, -wT) = (sigma_x U(wT, 0)
-sigma_x)^T.  Only [0, wT] is integrated; from that half's (a_h, b_h) the
-pulse is a = |a_h|^2 - |b_h|^2, real, and b = 2 a_h b_h.  D still counts
-from the window start -wT, so b keeps the window-start phase.  Inside a
-:func:`grid_reuse` scope, which ``cpgates preset`` opens for one command, an
-integrated grid whose inputs repeat exactly is integrated once and handed
-out again; nothing is kept once the scope ends.
+:data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side, a truncation that
+sets no phase.  Its envelope Omega0 sech(t/T) and its detuning phase
+D(t) = B*T*ln cosh(t/T) are both even, so H(-t) = H(t), and since
+H* = sigma_x H sigma_x the first half of the window mirrors the second:
+U(0, -wT) = (sigma_x U(wT, 0) sigma_x)^T.  Only [0, wT] is integrated;
+from that half's (a_h, b_h) the pulse is a = |a_h|^2 - |b_h|^2, real, and
+b = 2 a_h b_h.  Inside a :func:`grid_reuse` scope, which ``cpgates preset``
+opens for one command, an integrated grid whose inputs repeat exactly is
+integrated once and handed out again; nothing is kept once the scope ends.
 
 Integration runs at :data:`DEFAULT_CONFIG` and over that window, both read
 at call time, on the grid as given (a scan's block of at most 8,192 points).
@@ -80,8 +80,7 @@ __all__ = [
 #: Truncation of the integrated (tanh-chirped) sech window, in units of the
 #: width parameter T.  The neglected tail changes the propagator by about
 #: 2*Omega0*T*exp(-w), which stays below 1e-8 for Omega0*T <= 20 at w = 25.
-#: The Rosen-Zener form has no tail; it takes w only for the phase of b, so
-#: that it keeps the window-start convention of the integrated route.
+#: The Rosen-Zener form has no tail and does not read it.
 DEFAULT_WINDOW_HALF_WIDTH = 25.0
 
 # Lanczos coefficients, g = 7, nine terms
@@ -114,6 +113,7 @@ class PulseSpec:
         with T = duration (the width parameter, not the full length), in
         closed form over all time at a constant detuning, and integrated
         over [-w*T, +w*T] with w = DEFAULT_WINDOW_HALF_WIDTH when chirped.
+        Either shape counts its detuning phase from t = 0.
     peak_rabi : float
         Peak Rabi frequency Omega_0 >= 0, rad/time.
     duration : float
@@ -312,17 +312,17 @@ def _rosen_zener_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.ndarra
         a = Gamma(z)^2 / (Gamma(z + alpha) Gamma(z - alpha))
           = (cos(pi alpha) + i sin(pi alpha) tanh(pi delta))
             * exp(2i (arg Gamma(z) - arg Gamma(z + alpha))),
-        b = -i sin(pi alpha) sech(pi delta) e^{-i Delta T w},
+        b = -i sin(pi alpha) sech(pi delta).
 
-    with w = DEFAULT_WINDOW_HALF_WIDTH.  The second form of a follows from
-    reflection, 1/Gamma(z - alpha) = Gamma(1 - z + alpha) sin(pi (z - alpha))
-    / pi with Gamma(1 - z + alpha) the conjugate of Gamma(z + alpha), and
-    from |Gamma(z)|^2 = pi / cosh(pi delta): the large real parts of the log
-    gammas cancel exactly, so |a| and |b| carry only rounding, nothing
-    overflows, and the poles of Gamma(z - alpha) give exact zeros.  The phase
-    on b is the window start's and is common to every pulse of a sequence.
-    Where rounding in the two log gammas could move the phase of a by more
-    than ``DEFAULT_CONFIG.rel_tol``, a and b are NaN.
+    The detuning phase counts from the pulse's centre, so no window enters.
+    The second form of a follows from reflection, 1/Gamma(z - alpha) =
+    Gamma(1 - z + alpha) sin(pi (z - alpha)) / pi with Gamma(1 - z + alpha)
+    the conjugate of Gamma(z + alpha), and from |Gamma(z)|^2 =
+    pi / cosh(pi delta): the large real parts of the log gammas cancel
+    exactly, so |a| and |b| carry only rounding, nothing overflows, and the
+    poles of Gamma(z - alpha) give exact zeros.  Where rounding in the two
+    log gammas could move the phase of a by more than
+    ``DEFAULT_CONFIG.rel_tol``, a and b are NaN.
     """
     alpha = 0.5 * np.asarray(omega0, dtype=float) * duration
     delta_t = np.asarray(detuning, dtype=float) * duration
@@ -332,7 +332,7 @@ def _rosen_zener_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.ndarra
     z = 0.5 + 0.5j * delta_t
     arg = _log_gamma(np.stack(np.broadcast_arrays(z, z + alpha))).imag
     a = (c + 1j * s * np.tanh(y)) * np.exp(2j * (arg[0] - arg[1]))
-    b = -1j * s * sech * np.exp(-1j * DEFAULT_WINDOW_HALF_WIDTH * delta_t)
+    b = -1j * s * sech
     # a few eps of each |arg Gamma| (see _log_gamma), both doubled, with margin
     unresolved = 16.0 * np.finfo(float).eps * (np.abs(arg[0]) + np.abs(arg[1]))
     ok = (unresolved <= DEFAULT_CONFIG.rel_tol) & np.isfinite(a) & np.isfinite(b)
@@ -356,16 +356,15 @@ def integrate_pulse_grid(
     the stepper's tolerances follow from ``config.rel_tol``.  Returns flat
     arrays (a, b) of Cayley-Klein parameters, a boolean success mask and
     the step attempts per pulse.  Zero-duration entries come back as the
-    identity.  A tanh chirp has H(-t) = H(t), so only [0, w*T] is
-    integrated, w = ``window_half_width``, and that half's (a_h, b_h) give
-    the pulse as a = |a_h|^2 - |b_h|^2, b = 2 a_h b_h (see the module
-    docstring); its steps are the half's, its unitarity defect the whole
-    pulse's, and its detuning phase counts from the window start -w*T, so
-    b carries the window-start phase.  A rectangular chirp has no such
-    symmetry and is refused.  Pulses with a constant detuning normally take
-    their closed form (see :func:`constituent_grid`); they are integrated
-    here only to check the integrator against that form, and that form
-    against it.
+    identity.  The detuning phase counts from t = 0, so the window sets
+    only where integration stops.  A tanh chirp has H(-t) = H(t), so only
+    [0, w*T] is integrated, w = ``window_half_width``, and that half's
+    (a_h, b_h) give the pulse as a = |a_h|^2 - |b_h|^2, b = 2 a_h b_h (see
+    the module docstring); its steps are the half's and its unitarity
+    defect the whole pulse's.  A rectangular chirp has no such symmetry and
+    is refused.  Pulses with a constant detuning normally take their closed
+    form (see :func:`constituent_grid`); they are integrated here only to
+    check the integrator against that form, and that form against it.
     """
     if shape == "rectangular" and model == "tanh_chirp":
         raise ValueError("rectangular pulses take a constant detuning, not a chirp")
@@ -378,28 +377,23 @@ def integrate_pulse_grid(
         t_start = np.zeros(m)
         t_end = duration.copy()
     else:
-        t_start = -window_half_width * duration
         t_end = window_half_width * duration
+        # the chirp's D(t) is even in t like the envelope, so only [0, t_end]
+        t_start = -t_end if model == "constant" else np.zeros(m)
     # per-system constants, hoisted out of the right-hand side; width enters
     # only through t/width, and zero-duration rows stay inert
     safe_width = np.where(duration > 0, duration, 1.0)
     inv_width = 1.0 / safe_width
-    if model == "constant":
-        # D(t) = rate * (t - t_start)
-        per_system = (0.5 * omega0, inv_width, rate, t_start)
-    else:
-        # D(t) = rate * width * (ln cosh(t/width) - ln cosh(t_start/width)),
-        # even in t like the envelope, so only [0, t_end] is integrated
-        per_system = (0.5 * omega0, inv_width, rate * safe_width,
-                      _log_cosh(t_start * inv_width))
-        t_start = np.zeros(m)
+    # D(t) = rate * t, or rate * width * ln cosh(t/width) for the chirp
+    per_system = (0.5 * omega0, inv_width,
+                  rate if model == "constant" else rate * safe_width)
 
     def rhs(t, y, p):
-        half_omega, inv_w, phase_rate, phase_offset = p
+        half_omega, inv_w, phase_rate = p
         if model == "constant":
-            phase = phase_rate * (t - phase_offset)
+            phase = phase_rate * t
         else:
-            phase = phase_rate * (_log_cosh(t * inv_w) - phase_offset)
+            phase = phase_rate * _log_cosh(t * inv_w)
         if shape == "rectangular":
             envelope = half_omega
         else:
@@ -521,8 +515,7 @@ def constituent_propagator(spec: PulseSpec) -> Propagator:
         a, b = a.reshape(-1)[0], b.reshape(-1)[0]
     prop = Propagator(complex(a), complex(b))
     if not (cmath.isfinite(prop.a) and cmath.isfinite(prop.b)):
-        route = "integration" if spec.model == "tanh_chirp" else "closed form"
         raise IntegrationError(
-            f"pulse {route} failed: {spec} overflowed or missed the "
+            f"pulse propagator failed: {spec} overflowed or missed the "
             f"accuracy contract (rel_tol {DEFAULT_CONFIG.rel_tol:g})")
     return prop

@@ -567,27 +567,30 @@ def read_scan_csv(path) -> ScanResult:
     file's data row.  Values are ``float`` of each field either way.  A
     file with another number of rows or fields than its axes call for, a
     row whose coordinates are not ``float("%.11e" % g)`` of its grid point
-    or an axis line without a key raises ValueError.
+    or a malformed axis line raises ValueError that names the file, and the
+    missing key or the line.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
     with open(path, "rb") as fh:
         data = 0  # the byte offset of the first data row
         header = io.TextIOWrapper(fh, encoding="utf-8", newline="")  # line ends kept
-        for line in header:
+        for number, line in enumerate(header, 1):
             body = line.strip()
             if body and not body.startswith("#"):
                 break
             data += len(line.encode("utf-8"))
             body = body[1:].strip()
             if body.startswith("axis"):
-                _, spec = body.split(":", 1)
-                f = dict(item.split("=") for item in spec.split())
                 try:
+                    f = dict(item.split("=") for item in body.split(":", 1)[1].split())
                     axes.append(SweepAxis(f["parameter"], float(f["start"]), float(f["stop"]),
                                           int(f["samples"]), f["spacing"]))
                 except KeyError as err:
                     raise ValueError(f"{path}: an axis line lacks {err.args[0]}=") from None
+                except (ValueError, IndexError) as err:
+                    raise ValueError(f"{path}, line {number}: bad axis line "
+                                     f"{line.rstrip()!r}: {err}") from None
             elif ":" in body:
                 key, value = (part.strip() for part in body.split(":", 1))
                 if key != "columns":

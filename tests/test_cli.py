@@ -113,7 +113,7 @@ class TestFidelityCommand:
                                "--pulse", "sech", "--rabi-t", rabi_t,
                                "--chirp-t", "1")
             assert code == 3
-            assert err.startswith("numerical failure: pulse integration failed")
+            assert err.startswith("numerical failure: pulse propagator failed")
             assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
@@ -135,7 +135,7 @@ class TestFidelityCommand:
         code, out, err = run(capsys, *argv, "--detuning-t", "1e300")
         assert code == 3
         assert out == ""
-        assert err.startswith("numerical failure: pulse closed form failed")
+        assert err.startswith("numerical failure: pulse propagator failed")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_rect_pulse_is_bad_input(self, capsys):

@@ -13,6 +13,7 @@ from cpgates.pulses import PulseSpec, constituent_propagator
 from cpgates.scan import PARAMETERS, SweepAxis, scan_1d, scan_2d
 from cpgates.sequences import (
     DETUNING_VARIANTS,
+    MAX_BROADBAND_PULSES,
     UNIVERSAL_VARIANTS,
     broadband_phases,
     detuning_phases,
@@ -123,6 +124,21 @@ def test_gate_error_depends_only_on_the_composite_pulses_a(drawn, phase):
         want = 2.0 * math.sqrt(2.0) * np.abs((big_a * np.exp(-0.25j * phase)).imag)
         assert np.all(np.abs(error - want) <= 1e-14)
         assert np.all(error <= bound + 1e-14)
+
+
+@deterministic
+@given(unit_pairs, gate_phases, angle)
+def test_a_phase_every_pulse_shares_does_not_reach_the_gate(drawn, phase, theta):
+    # on every shipped sequence: the gate is set by phase differences
+    # between its pulses, so where a pulse's detuning phase starts counting,
+    # which turns every constituent b by the same e^{i*theta}, cannot move
+    # its infidelity
+    a, b = pairs(drawn)
+    broadband = [broadband_phases(n) for n in range(11, MAX_BROADBAND_PULSES + 1, 2)]
+    for cp in SHIPPED + broadband:
+        base, turned = (gate_infidelity(*phase_gate(*fold(cp.phases, a, bb), phase), phase)
+                        for bb in (b, b * np.exp(1j * theta)))
+        assert np.all(np.abs(base - turned) <= 1e-13)
 
 
 @deterministic

@@ -61,18 +61,16 @@ def demkov_kunike(rabi_t: float, chirp_t: float):
         a = Gamma(1/2 + i beta) Gamma(1/2 - i beta)
             / (Gamma(1/2 + nu) Gamma(1/2 - nu)) = cos(pi nu) / cosh(pi beta),
         b = -i alpha Gamma(1/2 + i beta)^2 / (Gamma(1 + i beta + nu)
-            Gamma(1 + i beta - nu)) * e^{2 i beta (ln cosh w + ln 2)},
+            Gamma(1 + i beta - nu)) * e^{2 i beta ln 2},
 
-    where the last factor moves b's phase to the window start at -w*T, with
-    w = DEFAULT_WINDOW_HALF_WIDTH, as the pulse layer measures it.
+    with the detuning phase D(t) = B*T*ln cosh(t/T) counted from the centre,
+    as the pulse layer counts it.
     """
     alpha, beta = 0.5 * rabi_t, 0.5 * chirp_t
     nu = cmath.sqrt(alpha**2 - beta**2)
     a = (cmath.cos(PI * nu) / math.cosh(PI * beta)).real
-    w = pulses.DEFAULT_WINDOW_HALF_WIDTH
     log_b = (2.0 * loggamma(0.5 + 1j * beta) - loggamma(1.0 + 1j * beta + nu)
-             - loggamma(1.0 + 1j * beta - nu)
-             + 2j * beta * (math.log(math.cosh(w)) + math.log(2.0)))
+             - loggamma(1.0 + 1j * beta - nu) + 2j * beta * math.log(2.0))
     return a, -1j * alpha * cmath.exp(log_b)
 
 
@@ -87,7 +85,11 @@ def integrate_one(spec: PulseSpec, config: IntegratorConfig = IntegratorConfig()
 
 
 def scipy_reference(spec: PulseSpec):
-    """Direct interaction-picture integration with scipy, as a cross-check."""
+    """Direct interaction-picture integration with scipy, as a cross-check.
+
+    The detuning phase counts from t = 0: the rectangular pulse's start, the
+    sech pulse's centre.
+    """
     if spec.shape == "rectangular":
         t0, t1 = 0.0, spec.duration
     else:
@@ -102,9 +104,9 @@ def scipy_reference(spec: PulseSpec):
 
     def phase(t):
         if spec.model == "constant":
-            return spec.rate * (t - t0)
-        lc = lambda x: abs(x) - math.log(2.0) + math.log1p(math.exp(-2.0 * abs(x)))
-        return spec.rate * width * (lc(t / width) - lc(t0 / width))
+            return spec.rate * t
+        ax = abs(t / width)
+        return spec.rate * width * (ax - math.log(2.0) + math.log1p(math.exp(-2.0 * ax)))
 
     def rhs(t, y):
         g = -0.5j * envelope(t) * np.exp(-1j * phase(t))
@@ -282,7 +284,7 @@ class TestIntegratedSech:
 
     def test_chirp_matches_demkov_kunike(self):
         # the chirp is integrated over half its window and mirrored; the
-        # closed form checks the whole pulse, b's window-start phase included
+        # closed form checks the whole pulse, b's phase included
         rng = np.random.default_rng(1969)
         cases = [(1.0, 0.0, 1.0),  # Omega0 = 0
                  (0.7, 2.3, 0.0),  # B = 0: Rosen-Zener on resonance
@@ -313,19 +315,18 @@ class TestIntegratedSech:
         assert got.a == 1.0 and got.b == 0.0
 
     def test_window_truncation_converged(self):
-        # widening the window from 25 to 35 widths must not move |a| or |b|
-        # above 1e-8; entry phases are referenced to the window start and
-        # shift with it
+        # widening the window from 25 to 35 widths must not move a or b,
+        # phases included, above 1e-8: the window is a truncation, no origin
         assert pulses.DEFAULT_WINDOW_HALF_WIDTH == 25.0
-        for rabi_t, model, rate in ((1.0, "constant", 0.0), (5.0, "tanh_chirp", 1.0),
-                                    (20.0, "tanh_chirp", 1.0)):
+        for rabi_t, model, rate in ((1.0, "constant", 0.0), (1.0, "constant", 0.7),
+                                    (5.0, "tanh_chirp", 1.0), (20.0, "tanh_chirp", 1.0)):
             (a0, b0, ok0, _), (a1, b1, ok1, _) = (
                 integrate_pulse_grid("sech", model, np.array([rabi_t]), np.ones(1),
                                      np.array([rate]), window, TIGHT)
                 for window in (25.0, 35.0))
             assert ok0.all() and ok1.all()
-            assert abs(abs(a0[0]) - abs(a1[0])) < 1e-8
-            assert abs(abs(b0[0]) - abs(b1[0])) < 1e-8
+            assert abs(a0[0] - a1[0]) < 1e-8
+            assert abs(b0[0] - b1[0]) < 1e-8
 
 
 class TestIntegratorContract:
@@ -533,7 +534,7 @@ class TestConstituentDispatch:
         # a spent step budget and an overflow fail through the same channel
         monkeypatch.setattr(pulses, "DEFAULT_CONFIG",
                             IntegratorConfig(max_steps=max_steps))
-        with pytest.raises(IntegrationError, match="^pulse integration failed"):
+        with pytest.raises(IntegrationError, match="^pulse propagator failed"):
             constituent_propagator(PulseSpec.sech(rabi_t, chirp_rate=1.0))
 
 

@@ -105,3 +105,20 @@ def test_scalar_and_grid_paths_agree():
     # a scalar detuning broadcasts against the array like any other input
     a0, b0 = constituent_grid("sech", "constant", omega[:50], 1.0, 0.0)
     assert np.array_equal(a0, a[:50]) and np.array_equal(b0, b[:50])
+
+
+def test_closed_forms_do_not_read_the_window(monkeypatch):
+    # the window is the integrator's truncation: it moves no bit of a closed
+    # form, b's phase included, at any detuning
+    rng = np.random.default_rng(1204)
+    omega0 = rng.uniform(0.1, 8.0, 300)
+    duration = rng.uniform(0.3, 3.0, 300)
+    detuning = rng.choice([-1.0, 1.0], 300) * rng.uniform(0.05, 3.0, 300)
+    grids = []
+    for window in (25.0, 35.0):
+        monkeypatch.setattr(pulses, "DEFAULT_WINDOW_HALF_WIDTH", window)
+        grids.append([constituent_grid(shape, "constant", omega0, duration, detuning)
+                      for shape in ("rectangular", "sech")])
+    for (a0, b0), (a1, b1) in zip(*grids):
+        assert np.isfinite(b0).all() and np.abs(b0).max() > 0.5
+        assert a0.tobytes() == a1.tobytes() and b0.tobytes() == b1.tobytes()

@@ -482,6 +482,23 @@ class TestCsvContract:
                                              rf"lacks {key}=$"):
             read_scan_csv(path)
 
+    @pytest.mark.parametrize("old, new", [
+        (" spacing=linear", " spacing"),  # an item without '='
+        (" start=-1", " start=x"),
+        (" samples=4", " samples=1"),
+        (" stop=1", " stop=-2"),  # below the start
+        (" samples=4", " samples=2.5"),
+    ], ids=["no-equals", "start-x", "samples-1", "stop-below-start", "samples-2.5"])
+    def test_a_malformed_axis_line_names_the_file_and_line(self, tmp_path, old, new):
+        path, header, rows = self._map_file(tmp_path)
+        number = next(i for i, ln in enumerate(header, 1) if ln.startswith("# axis1:"))
+        assert old in header[number - 1]
+        header[number - 1] = header[number - 1].replace(old, new)
+        path.write_text("".join(header + rows))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line {number}: "
+                                             rf"bad axis line '# axis1: .*{re.escape(new)}"):
+            read_scan_csv(path)
+
     def test_rows_out_of_place_name_the_first(self, tmp_path):
         path, header, rows = self._map_file(tmp_path)
         rows[5], rows[7] = rows[7], rows[5]  # same x, other detunings

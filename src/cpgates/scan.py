@@ -34,11 +34,15 @@ for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
 finite.  It fills one byte array per write, so it holds one block.  The
 reader takes a block whose coordinates have the canonical 17 bytes,
 d.ddddddddddde+dd (no sign, two exponent digits), as fixed-width bytes:
-coordinates compared as bytes with the block's codes, values cast by numpy.
-fig1, fig2 and maps over positive axes read this way.  Negative coordinates
-(fig3, fig4), or a block off that layout (a comment, a CRLF, a signed value,
-three exponent digits), send the rest of the file to numpy.loadtxt.  Both
-give float() of a field.
+coordinates compared as bytes with the block's codes, values parsed from
+their 12 digits M and exponent e: one multiply or divide by an exact power
+of ten where |e - 11| <= 22 (Clinger), Dekker's exact remainders to correct
+two roundings where -33 <= e <= -12, numpy's cast elsewhere and within
+2**-30 ulp of a rounding tie.  fig1, fig2 and maps over positive axes read
+this way.  Negative coordinates (fig3, fig4), or a block off that layout (a
+comment, a CRLF, a signed value, three exponent digits), send the rest of
+the file to numpy.loadtxt, checked against each block's span of the axes.
+Both give float() of a field.
 """
 
 from __future__ import annotations
@@ -523,6 +527,20 @@ def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) ->
 _CANONICAL = 17
 _LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
 _SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
+# by e + 99, a field's 12 digits as an integer M times _TIMES over _OVER round
+# once to M * 10**(e - 11) where |e - 11| <= 22, and to M / 1e22 below that
+_CLINGER = 22  # 10**k is a double for k <= 22
+_EXACT = np.array([float(10 ** k) for k in range(_CLINGER + 1)])
+_J = np.arange(-110, 89)
+_TIMES, _OVER = _EXACT[np.clip(_J, 0, _CLINGER)], _EXACT[np.clip(-_J, 0, _CLINGER)]
+_ZEROS = ord("0") * 111_111_111_111  # twelve "0" codes read as digits
+
+
+def _product_error(a, b):
+    """a * b - fl(a * b), exactly: Dekker's two-product (numpy has no fma)."""
+    ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))  # Veltkamp's split
+    al, bl = a - ah, b - bh
+    return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
 
 
 def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | None:
@@ -532,8 +550,17 @@ def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | 
     ``codes`` the :func:`_format_e11` rows of each axis's coordinates, which
     broadcast over it.  Every byte is checked: the separators, coordinates
     against columns 1-17 of their codes, and the value field's layout.
-    numpy's bytes-to-float cast of the values rounds correctly, so they
-    equal ``float`` of each field.
+
+    A value d.ddddddddddde±dd is M * 10**j: M, its 12 digits, is summed
+    column by column in int64 (M < 2**53), and j = e - 11.  Where |j| <= 22,
+    one multiply or divide by the exact 10**|j| rounds correctly (Clinger).
+    Where -44 <= j <= -23, q = M / 1e22 / 10**(-j - 22) rounds twice, and
+    Dekker's two-products give both remainders exactly: q moves to its
+    neighbour on the quotient's side if the quotient lies past one half of
+    the gap between them, a distance known within 1e-15 of the gap.  numpy's
+    bytes-to-float cast, which rounds correctly, reads other j, a distance
+    within 2**-30 of one half and one past the neighbour.  So every value is
+    ``float`` of its field.
     """
     ends = lines[..., _CANONICAL::_CANONICAL + 1]
     if not ((ends[..., :-1] == ord(",")).all() and (ends[..., -1] == ord("\n")).all()):
@@ -542,10 +569,34 @@ def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | 
         lo = i * (_CANONICAL + 1)
         if not (lines[..., lo:lo + _CANONICAL] == code[..., 1:_CANONICAL + 1]).all():
             return None
-    value = lines[..., -_CANONICAL - 1:-1]
+    value = lines[..., -_CANONICAL - 1:-1].reshape(-1, _CANONICAL)
     if not (((value - _LOWEST) <= _SPAN).all() and (value[..., 14] != ord(",")).all()):
         return None
-    return value.view(f"S{_CANONICAL}").reshape(-1)
+    mantissa = value[:, 0].astype(np.int64)
+    for column in range(2, 13):
+        mantissa *= 10
+        mantissa += value[:, column]
+    mantissa -= _ZEROS
+    e = value[:, 15].astype(np.int16) * 10 + value[:, 16] - 528  # not in uint8, which wraps
+    e *= 44 - value[:, 14].astype(np.int16)  # "+" is 43 and "-" 45
+    values = np.multiply(mantissa, _TIMES[e + 99])
+    values /= _OVER[e + 99]
+    slow = [np.flatnonzero((e < -33) | (e > 11 + _CLINGER))]
+    twice = np.flatnonzero((e >= -33) & (e < 11 - _CLINGER))
+    for at in np.split(twice, range(1024, twice.size, 1024)):  # pieces bound the memory
+        q1 = values[at]  # M / 1e22
+        r1 = (mantissa[at] - q1 * _EXACT[-1]) - _product_error(q1, _EXACT[-1])
+        scale = _EXACT[11 - _CLINGER - e[at]]
+        q = q1 / scale
+        r2 = (q1 - q * scale) - _product_error(q, scale)
+        s = r2 + r1 / _EXACT[-1]  # (M * 10**j - q) * scale
+        near = np.nextafter(q, np.where(s < 0, 0.0, np.inf))
+        past = s / ((near - q) * scale)
+        values[at] = np.where(past > 0.5, near, q)
+        slow.append(at[(np.abs(past - 0.5) < 2.0 ** -30) | (past >= 1)])
+    slow = np.concatenate(slow)
+    values[slow] = value[slow].view(f"S{_CANONICAL}")[:, 0]
+    return values
 
 
 def read_scan_csv(path) -> ScanResult:
@@ -564,7 +615,9 @@ def read_scan_csv(path) -> ScanResult:
     layout (:func:`_canonical_rows`).  From the first block that does not,
     and after the last expected row, ``numpy.loadtxt`` parses the text 8,192
     lines at a time, skipping blank and comment lines; its errors name the
-    file's data row.  Values are ``float`` of each field either way.  A
+    file's data row.  Values are ``float`` of each field either way: read
+    from their digits, exactly from 1e-33 to below 1e34, and by numpy's cast
+    elsewhere or within 2**-30 of a gap from a rounding tie.  A
     file with another number of rows or fields than its axes call for, a
     row whose coordinates are not ``float("%.11e" % g)`` of its grid point
     or a malformed axis line raises ValueError that names the file, and the
@@ -626,8 +679,9 @@ def read_scan_csv(path) -> ScanResult:
                 break
             found = start + len(rows)
             values[start:found] = rows
-        # the coordinates as the file holds them, if rows remain to check
-        written = [_read_back(ax.grid()) for ax in axes] if found < size else []
+        # the axes as the file holds them: whole up to a block's length, else by span
+        grids = [ax.grid() for ax in axes] if found < size else []
+        backs = [_read_back(g) if g.size <= _BLOCK else None for g in grids]
         lines = io.TextIOWrapper(fh, encoding="utf-8")  # as a text read, from here
         for line in lines:
             if not line.split("#", 1)[0].rstrip("\n"):
@@ -643,13 +697,13 @@ def read_scan_csv(path) -> ScanResult:
             fields = rows.shape[1] if rows.shape[1] != width else fields
             if found > size or fields != width:
                 continue  # counted for the error below
-            # each coordinate column against its axis as written
             at = np.unravel_index(np.arange(lo, found), shape)
-            off = np.any([rows[:, i] != g[k] for i, (g, k) in enumerate(zip(written, at))],
-                         axis=0)
+            written = [_read_back(g[k.min():k.max() + 1])[k - k.min()] if b is None else b[k]
+                       for g, b, k in zip(grids, backs, at)]
+            off = np.any([rows[:, i] != w for i, w in enumerate(written)], axis=0)
             if off.any():
                 j = int(np.argmax(off))  # the first, at data row lo + j + 1
-                wanted = tuple(float(g[k[j]]) for g, k in zip(written, at))
+                wanted = tuple(float(w[j]) for w in written)
                 raise ValueError(f"{path}: data row {lo + j + 1} holds coordinates "
                                  f"{tuple(rows[j, :-1].tolist())}, where the axes put {wanted}")
             values[lo:found] = rows[:, -1]

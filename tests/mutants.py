@@ -89,6 +89,42 @@ MUTANTS = (
            "sin=math.cos, cos=math.sin",
            ("tests/test_pulses.py::TestResonantRect::test_pi_pulse_inverts",
             "tests/test_pulses.py::TestClosedFormRectangular::test_scalar_and_grid_paths_agree")),
+    Mutant("the value parse's one-ulp correction dropped",
+           "scan.py",
+           "values[at] = np.where(past > 0.5, near, q)",
+           "values[at] = q",
+           ("tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast",)),
+    Mutant("Clinger's range widened to |j| = 23, where 10**23 is not a double",
+           "scan.py",
+           "_CLINGER = 22  #",
+           "_CLINGER = 23  #",
+           ("tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast",)),
+    Mutant("the block's row offset dropped from numpy's message",
+           "scan.py",
+           'lambda m: f"at row {int(m[1]) + found}"',
+           'lambda m: f"at row {int(m[1])}"',
+           ("tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row",)),
+    Mutant("the byte path's coordinate check removed",
+           "scan.py",
+           "if not (lines[..., lo:lo + _CANONICAL] == code[..., 1:_CANONICAL + 1]).all():",
+           "if False:",
+           ("tests/test_scan.py::TestCsvContract::test_a_changed_coordinate_digit_names_its_row",)),
+    Mutant("the byte path's value layout and exponent-sign checks removed",
+           "scan.py",
+           'if not (((value - _LOWEST) <= _SPAN).all() and (value[..., 14] != ord(",")).all()):',
+           "if False:",
+           ("tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]",)),
+    Mutant("the byte path's separator check removed",
+           "scan.py",
+           'if not ((ends[..., :-1] == ord(",")).all() and (ends[..., -1] == ord("\\n")).all()):',
+           "if False:",
+           ("tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]",)),
+    Mutant("the byte path switched off",
+           "scan.py",
+           "if fh.readinto(block) == block.size:",
+           "if False:",
+           ("tests/test_scan.py::TestCsvContract::test_canonical_files_never_reach_loadtxt",
+            "tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast")),
     Mutant("t conjugated in phase_gate",
            "su2.py",
            "    t = complex(math.cos(gate_phase / 2.0), math.sin(gate_phase / 2.0))",

@@ -31,18 +31,19 @@ rows (at most 8,192 values), each with its coordinates' codes.  The writer
 spells digits in numpy, byte for byte Python's "%.11e": integer arithmetic
 on a 12-digit mantissa scaled to within 2.3e-4, with Python's own format
 for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
-finite.  It fills one byte array per write, so it holds one block.  The
-reader takes a block whose coordinates have the canonical 17 bytes,
-d.ddddddddddde+dd (no sign, two exponent digits), as fixed-width bytes:
-coordinates compared as bytes with the block's codes, values parsed from
-their 12 digits M and exponent e: one multiply or divide by an exact power
-of ten where |e - 11| <= 22 (Clinger), Dekker's exact remainders to correct
-two roundings where -33 <= e <= -12, numpy's cast elsewhere and within
-2**-30 ulp of a rounding tie.  fig1, fig2 and maps over positive axes read
-this way.  Negative coordinates (fig3, fig4), or a block off that layout (a
-comment, a CRLF, a signed value, three exponent digits), send the rest of
-the file to numpy.loadtxt, checked against each block's span of the axes.
-Both give float() of a field.
+finite.  A block whose texts all take 17 bytes, d.ddddddddddde+dd (no sign,
+two exponent digits), has one byte template with its coordinates and
+separators that the writer and the reader share: the writer spells each
+value into it, and the reader checks a block against it in one range
+compare and parses each value from its 12 digits M and exponent e: one
+multiply or divide by an exact power of ten where |e - 11| <= 22
+(Clinger), Dekker's exact remainders to correct two roundings where
+-33 <= e <= -12, numpy's cast elsewhere and within 2**-30 ulp of a
+rounding tie.  The writer spells other blocks as 19 NUL-padded codes per
+field, NULs dropped, and holds one block.  Negative coordinates (fig3,
+fig4), or a block off that layout (a comment, a CRLF, a signed value, three
+exponent digits), send the rest of the file to numpy.loadtxt, checked
+against each block's span of the axes.  Both give float() of a field.
 """
 
 from __future__ import annotations
@@ -337,15 +338,6 @@ def error_order(
     return float(slope)
 
 
-def _cell_widths(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    if x.size > 2:
-        w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = x[1] - x[0]
-    w[-1] = x[-1] - x[-2]
-    return w
-
-
 def high_fidelity_bandwidth(result: ScanResult, threshold: float) -> float:
     """Width of the largest contiguous sub-threshold run of a 1D scan.
 
@@ -360,7 +352,7 @@ def high_fidelity_bandwidth(result: ScanResult, threshold: float) -> float:
     below = result.values < threshold
     if not below.any():
         return 0.0
-    widths = _cell_widths(result.axes[0].grid())
+    widths = np.gradient(result.axes[0].grid())
     idx = np.nonzero(below)[0]
     runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
     return float(max(widths[run].sum() for run in runs))
@@ -373,12 +365,12 @@ _FIELD = 19
 # 10**k correctly rounded for k = -88..110: the scale 10**(11 - e) of a
 # decimal exponent |e| < 100 sits at index 99 - e
 _POW10 = np.array([float(f"1e{k}") for k in range(-88, 111)])
-# columns of the six leading and the six trailing mantissa digits, last
-# digit first; "." is column 2
-_DIGIT_COLUMNS = ((7, 6, 5, 4, 3, 1), (13, 12, 11, 10, 9, 8))
+# columns of the six leading and the six trailing mantissa digits in a
+# text's 17 codes, last digit first; "." is column 1
+_DIGIT_COLUMNS = ((6, 5, 4, 3, 2, 0), (12, 11, 10, 9, 8, 7))
 
 
-def _format_e11(values: np.ndarray) -> np.ndarray:
+def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarray | None:
     """``b"%.11e" % v`` of every value, one row of 19 ASCII codes each.
 
     Column 0 holds "-" or NUL, so a text's first digit sits at column 1,
@@ -391,18 +383,19 @@ def _format_e11(values: np.ndarray) -> np.ndarray:
     |e| >= 100, NaN and infinities, take Python's own ``%.11e``; about 0.2%
     of random doubles do.  Zero and a mantissa that carries into the next
     power of ten stay on the integer path.
+
+    Given ``text``, codes of shape ``values.shape + (17,)`` such as a
+    block's value fields, it spells columns 1-17 there, or writes nothing and
+    returns None if a text has a sign, three exponent digits or no digits.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    mag = np.abs(v)
-    text = np.zeros((v.size, _FIELD), np.uint8)
-    # rows of slow values, NaN and infinities among them, are overwritten
-    # with Python's text at the end, whatever digits they got
+    v = np.asarray(values, dtype=float)
+    scaled = np.abs(v)  # |v|, scaled by 10**(11 - e) in place
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.floor(np.log10(mag))
-        e[mag == 0] = 0
+        e = np.floor(np.log10(scaled))
+        e[scaled == 0] = 0
         slow = ~(np.abs(e) < 100)
         e[slow] = 0
-        scaled = mag * _POW10[99 - e.astype(np.intp)]
+        scaled *= _POW10[99 - e.astype(np.intp)]
         mantissa = np.rint(scaled)
         # outside [1e11, 1e12] only if log10 erred by more than rounding
         slow |= ((np.abs(scaled - np.floor(scaled) - 0.5) < 1e-3)
@@ -411,60 +404,95 @@ def _format_e11(values: np.ndarray) -> np.ndarray:
         mantissa[carry] = 1e11
         e += carry
         slow |= e > 99
-
-        text[:, 0] = np.signbit(v) * ord("-")
-        text[:, 2] = ord(".")
-        text[:, 14] = ord("e")
-        text[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+        # slow rows get Python's text at the end, whatever digits they got;
+        # "% .11e" leaves a space where "-" would go: a NUL, as on the fast path
+        python = np.array([(b"% .11e" % x).replace(b" ", b"\0") for x in v[slow].tolist()],
+                          f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+        if text is None:
+            text = np.zeros((*v.shape, _FIELD), np.uint8)
+            text[..., 0] = np.signbit(v) * ord("-")
+            codes = text[..., 1:]
+        elif np.signbit(v).any() or (python[:, [0, -1]].any() or not python[:, -2].all()):
+            return None  # a canonical text has column 17, but neither 0 nor 18
+        else:
+            codes, python = text, python[:, 1:-1]
+        codes[..., 1] = ord(".")
+        codes[..., 13] = ord("e")
+        codes[..., 14] = np.where(e < 0, ord("-"), ord("+"))
         exponent = np.abs(e).astype(np.int32)
-        text[:, 16] = exponent // 10 + ord("0")
-        text[:, 17] = exponent % 10 + ord("0")
+        codes[..., 15] = exponent // 10 + ord("0")
+        codes[..., 16] = exponent % 10 + ord("0")
         # int32 division by a constant is fast; split the mantissa in halves
         high = np.floor(mantissa / 1e6)
-        for half, columns in zip((high, mantissa - high * 1e6), _DIGIT_COLUMNS):
+        mantissa -= high * 1e6
+        for half, columns in zip((high, mantissa), _DIGIT_COLUMNS):
             rest = half.astype(np.int32)
             for column in columns:
                 quotient = rest // 10
-                text[:, column] = rest - 10 * quotient + ord("0")
+                codes[..., column] = rest - 10 * quotient + ord("0")
                 rest = quotient
-    slow = np.flatnonzero(slow)
-    # "% .11e" leaves a space where "-" would go: a NUL, as on the fast path
-    python = np.array([(b"% .11e" % x).replace(b" ", b"\0") for x in v[slow].tolist()],
-                      f"S{_FIELD}")
-    text[slow] = python.view(np.uint8).reshape(-1, _FIELD)
+        text[slow] = python
     return text
 
 
-def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
+# "%.11e" of 0 <= v < 1e100 takes 17 bytes, d.ddddddddddde+dd or -dd; per
+# column of such a field, the lowest code and how many codes above it it may
+# take ("+" to "-" spans "," too, which is checked apart)
+_CANONICAL = 17
+_LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
+_SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
+
+
+def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple]:
     """A scan's data rows in the blocks that the CSV writer and reader walk.
 
     A block is whole rows of at most 8,192 values, or part of one row if the
-    inner axis is longer.  It comes as its first flat index and the
+    inner axis is longer.  It comes as its first flat index, the
     :func:`_format_e11` rows of its outer coordinates (None for a curve),
     sliced from those of up to 8,192 rows, and of its inner ones, made once
-    unless the inner axis spans blocks.
+    unless the inner axis spans blocks, then its lines if no coordinate has a
+    sign or a third exponent digit, else None.  The lines, one per row of
+    18-byte fields, are a leading part of one template made for the largest
+    block: each coordinate's 17 codes and ",", then "0.00000000000e+00\n".
+    Separators and value fields are set once, inner coordinates when they
+    change and outer ones for every block, so a block's lines hold until the
+    next block is taken.
     """
     *outer, inner = (ax.grid() for ax in axes)
     step = min(inner.size, _BLOCK)  # inner values per block
     rows = _BLOCK // step  # whole rows per block
     span = rows * (_BLOCK // rows)  # outer values formatted at once, in whole blocks
-    y = None
+    y = template = None
     for c in range(0, outer[0].size if outer else 1, span):
         xs = _format_e11(outer[0][c:c + span]) if outer else [None]
         for r in range(0, len(xs), rows):
             for lo in range(0, inner.size, step):
                 if y is None or step < inner.size:
-                    y = _format_e11(inner[lo:lo + step])
-                yield (c + r) * inner.size + lo, xs[r:r + rows] if outer else None, y
+                    y, filled = _format_e11(inner[lo:lo + step]), False
+                x, lines = (xs[r:r + rows] if outer else None), None
+                codes = [y] if x is None else [x, y]
+                if not any((code[:, 0] | code[:, -1]).any() for code in codes):
+                    if template is None:
+                        shape = (min(rows, outer[0].size) if outer else 1, step, len(codes) + 1)
+                        template = np.tile(np.frombuffer(_LOWEST.tobytes() + b",", np.uint8), shape)
+                        template[..., -1], filled = ord("\n"), False
+                    lines = template[:1 if x is None else len(x), :len(y)]
+                    if not filled:
+                        lines[..., -2 * _CANONICAL - 2:-_CANONICAL - 2], filled = y[:, 1:-1], True
+                    if x is not None:
+                        lines[..., :_CANONICAL] = x[:, None, 1:-1]
+                    lines = lines.reshape(-1, template.shape[-1])
+                yield (c + r) * inner.size + lo, x, y, lines
 
 
-def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | bytearray]:
+def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | memoryview]:
     """The CSV contract as bytes: the UTF-8 header, then one chunk per block.
 
-    A block of :func:`_blocks` is laid out in one bytearray made for the
-    first, the largest, with its separators set once and the inner
-    coordinates written when they change.  It comes out NULs dropped, in one
-    pass and with no copy of its own as ``tobytes`` would make.
+    A block with lines (:func:`_blocks`) comes out as those lines, each
+    value's 17 codes spelled into its field, if its texts are canonical.
+    Others are laid out in one bytearray of 19 codes and a separator per
+    field, separators set once and inner coordinates when they change, and
+    come out NULs dropped.
     """
     header = ["# cpgates-scan\n"]
     for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
@@ -482,23 +510,28 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
 
     columns = len(result.axes) + 1
     values = result.values.ravel()
-    built = None
-    for start, x, y in _blocks(result.axes):
+    whole = built = largest = None
+    for start, x, y, lines in _blocks(result.axes):
         shape = (1 if x is None else len(x), len(y))
-        if built is None:  # a field takes 19 codes, then "," or "\n"
-            whole = bytearray(math.prod(shape) * columns * (_FIELD + 1))
-            text = np.frombuffer(whole, np.uint8).reshape(*shape, columns, _FIELD + 1)
-            text[..., :-1, _FIELD] = ord(",")
-            text[..., -1, _FIELD] = ord("\n")
-        lines = text[:shape[0], :shape[1]]  # text or a leading part of it
+        largest = largest or math.prod(shape)  # the first block is the largest
+        block = values[start:start + math.prod(shape)]
+        if lines is not None and _format_e11(block, lines[:, -_CANONICAL - 1:-1]) is not None:
+            yield lines.data
+            continue
+        if whole is None:  # for any block; a field takes 19 codes, then "," or "\n"
+            whole = bytearray(largest * columns * (_FIELD + 1))
+            text = np.frombuffer(whole, np.uint8).reshape(-1, columns, _FIELD + 1)
+            text[:, :-1, _FIELD] = ord(",")
+            text[:, -1, _FIELD] = ord("\n")
+        padded = text[:block.size].reshape(*shape, columns, _FIELD + 1)
         if built is not y:
             built = y
-            lines[:, :, -2, :_FIELD] = y
+            padded[:, :, -2, :_FIELD] = y
         if x is not None:
-            lines[:, :, 0, :_FIELD] = x[:, None]
-        block = values[start:start + math.prod(shape)]
-        lines[:, :, -1, :_FIELD] = _format_e11(block).reshape(*shape, _FIELD)
-        yield (whole if lines.size == len(whole) else whole[:lines.size]).translate(None, b"\0")
+            padded[:, :, 0, :_FIELD] = x[:, None]
+        padded[:, :, -1, :_FIELD] = _format_e11(block).reshape(*shape, _FIELD)
+        # a slice of a bytearray is a copy, which a whole block does without
+        yield (whole if padded.size == len(whole) else whole[:padded.size]).translate(None, b"\0")
 
 
 def write_scan_csv(result: ScanResult, stream: IO[str],
@@ -511,7 +544,7 @@ def write_scan_csv(result: ScanResult, stream: IO[str],
     :func:`save_scan_csv`, decoded a block at a time.
     """
     for chunk in _csv_bytes(result, extra_header):
-        stream.write(chunk.decode("utf-8"))
+        stream.write(str(chunk, "utf-8"))
 
 
 def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) -> None:
@@ -521,19 +554,12 @@ def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) ->
             fh.write(chunk)
 
 
-# "%.11e" of 0 <= v < 1e100 takes 17 bytes, d.ddddddddddde+dd or -dd; per
-# column of such a field, the lowest code and how many codes above it it may
-# take ("+" to "-" spans "," too, which is checked apart)
-_CANONICAL = 17
-_LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
-_SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
 # by e + 99, a field's 12 digits as an integer M times _TIMES over _OVER round
 # once to M * 10**(e - 11) where |e - 11| <= 22, and to M / 1e22 below that
 _CLINGER = 22  # 10**k is a double for k <= 22
 _EXACT = np.array([float(10 ** k) for k in range(_CLINGER + 1)])
 _J = np.arange(-110, 89)
 _TIMES, _OVER = _EXACT[np.clip(_J, 0, _CLINGER)], _EXACT[np.clip(-_J, 0, _CLINGER)]
-_ZEROS = ord("0") * 111_111_111_111  # twelve "0" codes read as digits
 
 
 def _product_error(a, b):
@@ -543,13 +569,15 @@ def _product_error(a, b):
     return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
 
 
-def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | None:
-    """Values of a block of canonical lines, or None if any byte is off.
+def _canonical_rows(lines: np.ndarray, template: np.ndarray, values: np.ndarray) -> bool:
+    """Parse a block's canonical lines into ``values``; False if a byte is off.
 
-    ``lines`` holds the block as ``(rows, values, line)`` codes, and
-    ``codes`` the :func:`_format_e11` rows of each axis's coordinates, which
-    broadcast over it.  Every byte is checked: the separators, coordinates
-    against columns 1-17 of their codes, and the value field's layout.
+    ``lines`` holds the block's bytes and ``template`` its lines from
+    :func:`_blocks`, both as ``(lines, line)`` codes.  One range compare
+    checks every byte: ``lines - template`` in uint8 is 0 outside the value
+    fields and at most ``_SPAN`` in them, where an exponent sign "," (1) is
+    refused apart.  It is taken in place, in pieces of 1,024 lines that bound
+    the temporaries, and leaves the value digits as 0-9.
 
     A value d.ddddddddddde±dd is M * 10**j: M, its 12 digits, is summed
     column by column in int64 (M < 2**53), and j = e - 11.  Where |j| <= 22,
@@ -557,29 +585,28 @@ def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | 
     Where -44 <= j <= -23, q = M / 1e22 / 10**(-j - 22) rounds twice, and
     Dekker's two-products give both remainders exactly: q moves to its
     neighbour on the quotient's side if the quotient lies past one half of
-    the gap between them, a distance known within 1e-15 of the gap.  numpy's
-    bytes-to-float cast, which rounds correctly, reads other j, a distance
-    within 2**-30 of one half and one past the neighbour.  So every value is
-    ``float`` of its field.
+    the gap between them, a distance known within 1e-15 of the gap.  q lies
+    within 1.5 gaps of the quotient, so the neighbour is nearest also where
+    the quotient lies past it, unless it were a power of two below q, where
+    gaps halve; no such field lies within 67 gaps of a power of two.  numpy's
+    bytes-to-float cast, which rounds correctly, reads other j and a distance
+    within 2**-30 of one half.  So every value is ``float`` of its field.
     """
-    ends = lines[..., _CANONICAL::_CANONICAL + 1]
-    if not ((ends[..., :-1] == ord(",")).all() and (ends[..., -1] == ord("\n")).all()):
-        return None
-    for i, code in enumerate(codes):
-        lo = i * (_CANONICAL + 1)
-        if not (lines[..., lo:lo + _CANONICAL] == code[..., 1:_CANONICAL + 1]).all():
-            return None
-    value = lines[..., -_CANONICAL - 1:-1].reshape(-1, _CANONICAL)
-    if not (((value - _LOWEST) <= _SPAN).all() and (value[..., 14] != ord(",")).all()):
-        return None
+    field = slice(-_CANONICAL - 1, -1)
+    span = np.zeros(lines.shape[1], np.uint8)
+    span[field] = _SPAN
+    for lo in range(0, len(lines), 1024):
+        piece = np.subtract(lines[lo:lo + 1024], template[lo:lo + 1024], out=lines[lo:lo + 1024])
+        if not ((piece <= span).all() and (piece[:, field][:, 14] != 1).all()):
+            return False
+    value = lines[:, field]
     mantissa = value[:, 0].astype(np.int64)
     for column in range(2, 13):
         mantissa *= 10
         mantissa += value[:, column]
-    mantissa -= _ZEROS
-    e = value[:, 15].astype(np.int16) * 10 + value[:, 16] - 528  # not in uint8, which wraps
-    e *= 44 - value[:, 14].astype(np.int16)  # "+" is 43 and "-" 45
-    values = np.multiply(mantissa, _TIMES[e + 99])
+    e = value[:, 15].astype(np.int16) * 10 + value[:, 16]  # not in uint8, which wraps
+    e *= 1 - value[:, 14].astype(np.int16)  # "+" is 0 and "-" 2
+    np.multiply(mantissa, _TIMES[e + 99], out=values)
     values /= _OVER[e + 99]
     slow = [np.flatnonzero((e < -33) | (e > 11 + _CLINGER))]
     twice = np.flatnonzero((e >= -33) & (e < 11 - _CLINGER))
@@ -593,10 +620,10 @@ def _canonical_rows(lines: np.ndarray, codes: list[np.ndarray]) -> np.ndarray | 
         near = np.nextafter(q, np.where(s < 0, 0.0, np.inf))
         past = s / ((near - q) * scale)
         values[at] = np.where(past > 0.5, near, q)
-        slow.append(at[(np.abs(past - 0.5) < 2.0 ** -30) | (past >= 1)])
+        slow.append(at[np.abs(past - 0.5) < 2.0 ** -30])
     slow = np.concatenate(slow)
-    values[slow] = value[slow].view(f"S{_CANONICAL}")[:, 0]
-    return values
+    values[slow] = (value[slow] + _LOWEST).view(f"S{_CANONICAL}")[:, 0]
+    return True
 
 
 def read_scan_csv(path) -> ScanResult:
@@ -609,19 +636,19 @@ def read_scan_csv(path) -> ScanResult:
     same bytes.
 
     The rows are read a block of :func:`_blocks` at a time into the values
-    array.  A block whose coordinate codes are canonical (no sign, a
-    two-digit exponent) is read as fixed-width bytes and taken as it stands
-    if its coordinates equal those codes and its values have the canonical
-    layout (:func:`_canonical_rows`).  From the first block that does not,
-    and after the last expected row, ``numpy.loadtxt`` parses the text 8,192
-    lines at a time, skipping blank and comment lines; its errors name the
-    file's data row.  Values are ``float`` of each field either way: read
-    from their digits, exactly from 1e-33 to below 1e34, and by numpy's cast
-    elsewhere or within 2**-30 of a gap from a rounding tie.  A
-    file with another number of rows or fields than its axes call for, a
-    row whose coordinates are not ``float("%.11e" % g)`` of its grid point
-    or a malformed axis line raises ValueError that names the file, and the
-    missing key or the line.
+    array.  A block with lines (no coordinate with a sign or a third exponent
+    digit) is read as fixed-width bytes and taken as it stands if it matches
+    its template in one range compare: coordinates and separators byte for
+    byte, values in the canonical layout (:func:`_canonical_rows`).  From the
+    first block that does not, and after the last expected row,
+    ``numpy.loadtxt`` parses the text 8,192 lines at a time, skipping blank
+    and comment lines; its errors name the file's data row.  Values are
+    ``float`` of each field either way: read from their digits, exactly from
+    1e-33 to below 1e34, and by numpy's cast elsewhere or within 2**-30 of a
+    gap from a rounding tie.  A file with another number of rows or fields
+    than its axes call for, a row whose coordinates are not
+    ``float("%.11e" % g)`` of its grid point or a malformed axis line raises
+    ValueError that names the file, and the missing key or the line.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -661,24 +688,16 @@ def read_scan_csv(path) -> ScanResult:
         fh.seek(data)
         values = np.empty(size)  # a read holds its values and one block
         found, fields = 0, width
-        line_width = (_CANONICAL + 1) * width
-        raw = None  # made once a block's coordinates are canonical
-        for start, x, y in _blocks(tuple(axes)):
-            codes = [y] if x is None else [x[:, None], y]
-            # a sign (column 0) or a third exponent digit (column 18)
-            if any((code[..., 0] | code[..., -1]).any() for code in codes):
+        raw = None  # made for the first block, the largest
+        for start, _, _, template in _blocks(tuple(axes)):
+            if template is None:
                 break
-            if raw is None:
-                raw = np.empty(_BLOCK * line_width, np.uint8)
-            layout = (1 if x is None else len(x), len(y), line_width)
-            at, block, rows = fh.tell(), raw[:math.prod(layout)], None
-            if fh.readinto(block) == block.size:
-                rows = _canonical_rows(block.reshape(layout), codes)
-            if rows is None:
+            raw = np.empty(template.shape, np.uint8) if raw is None else raw
+            at, block, rows = fh.tell(), raw[:len(template)], values[start:start + len(template)]
+            if fh.readinto(block) != block.size or not _canonical_rows(block, template, rows):
                 fh.seek(at)
                 break
             found = start + len(rows)
-            values[start:found] = rows
         # the axes as the file holds them: whole up to a block's length, else by span
         grids = [ax.grid() for ax in axes] if found < size else []
         backs = [_read_back(g) if g.size <= _BLOCK else None for g in grids]

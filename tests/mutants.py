@@ -104,27 +104,41 @@ MUTANTS = (
            'lambda m: f"at row {int(m[1]) + found}"',
            'lambda m: f"at row {int(m[1])}"',
            ("tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row",)),
-    Mutant("the byte path's coordinate check removed",
+    Mutant("the reader's range compare against the template removed",
            "scan.py",
-           "if not (lines[..., lo:lo + _CANONICAL] == code[..., 1:_CANONICAL + 1]).all():",
-           "if False:",
-           ("tests/test_scan.py::TestCsvContract::test_a_changed_coordinate_digit_names_its_row",)),
-    Mutant("the byte path's value layout and exponent-sign checks removed",
+           "if not ((piece <= span).all() and (piece[:, field][:, 14] != 1).all()):",
+           "if not (piece[:, field][:, 14] != 1).all():",
+           ("tests/test_scan.py::TestCsvContract::test_a_changed_coordinate_digit_names_its_row",
+            "tests/test_scan.py::TestCsvContract::test_a_flipped_byte_leaves_the_byte_path[separator]",
+            "tests/test_scan.py::TestCsvContract::test_a_flipped_byte_leaves_the_byte_path[digit-above]",
+            "tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]")),
+    Mutant("the reader's exponent-sign comma exclusion dropped",
            "scan.py",
-           'if not (((value - _LOWEST) <= _SPAN).all() and (value[..., 14] != ord(",")).all()):',
-           "if False:",
-           ("tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]",)),
-    Mutant("the byte path's separator check removed",
-           "scan.py",
-           'if not ((ends[..., :-1] == ord(",")).all() and (ends[..., -1] == ord("\\n")).all()):',
-           "if False:",
-           ("tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]",)),
+           " and (piece[:, field][:, 14] != 1).all()):",
+           "):",
+           ("tests/test_scan.py::TestCsvContract::test_a_flipped_byte_leaves_the_byte_path[exponent-sign]",
+            "tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]")),
     Mutant("the byte path switched off",
            "scan.py",
-           "if fh.readinto(block) == block.size:",
-           "if False:",
+           "if fh.readinto(block) != block.size or not _canonical_rows(block, template, rows):",
+           "if True:",
            ("tests/test_scan.py::TestCsvContract::test_canonical_files_never_reach_loadtxt",
             "tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast")),
+    Mutant("a value spelled one byte off in the writer's template",
+           "scan.py",
+           "_format_e11(block, lines[:, -_CANONICAL - 1:-1])",
+           "_format_e11(block, lines[:, -_CANONICAL:])",
+           ("tests/test_scan.py::TestBlockWriter::test_the_template_writes_the_padded_bytes[curve]",)),
+    Mutant("the writer's canonical test ignoring a sign",
+           "scan.py",
+           "elif np.signbit(v).any() or (",
+           "elif (",
+           ("tests/test_scan.py::TestBlockWriter::test_the_template_writes_the_padded_bytes[negative]",)),
+    Mutant("a field past the candidate's neighbour read as the candidate",
+           "scan.py",
+           "values[at] = np.where(past > 0.5, near, q)",
+           "values[at] = np.where((past > 0.5) & (past < 1), near, q)",
+           ("tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast",)),
     Mutant("t conjugated in phase_gate",
            "su2.py",
            "    t = complex(math.cos(gate_phase / 2.0), math.sin(gate_phase / 2.0))",

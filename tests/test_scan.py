@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,34 @@ class TestBandwidth:
         with pytest.raises(ValueError, match="1D"):
             high_fidelity_bandwidth(res, 0.5)
 
+    def test_cell_widths_are_the_grid_gradient_bit_for_bit(self, monkeypatch):
+        # the half-distances the widths were once computed as, against
+        # np.gradient's, through the bandwidth of every run of seeded values
+        def cell_widths(x):
+            w = np.empty_like(x)
+            w[1:-1] = 0.5 * (x[2:] - x[:-2])
+            w[0], w[-1] = x[1] - x[0], x[-1] - x[-2]
+            return w
+
+        rng, grid_of = np.random.default_rng(23), SweepAxis.grid
+        for n in [2, 3, 12_345, *rng.integers(2, 12_346, 147).tolist()]:
+            start = rng.uniform(1e-3, 2.0)
+            stop = start * rng.uniform(1.001, 1e3)
+            for spacing in ("linear", "log", "random"):
+                axis = SweepAxis("pulse_area_fraction", start, stop, n,
+                                 "linear" if spacing == "random" else spacing)
+                grid = (np.sort(rng.uniform(start, stop, n)) if spacing == "random"
+                        else grid_of(axis))
+                monkeypatch.setattr(SweepAxis, "grid", lambda self: grid)
+                values = np.cos(np.linspace(0.0, rng.uniform(1.0, 40.0), n))  # a few runs
+                widths = cell_widths(grid)
+                assert np.gradient(grid).tobytes() == widths.tobytes(), (n, spacing)
+                below = np.flatnonzero(values < 0.5)
+                runs = np.split(below, np.nonzero(np.diff(below) > 1)[0] + 1)
+                want = max((float(widths[run].sum()) for run in runs if run.size), default=0.0)
+                got = high_fidelity_bandwidth(ScanResult(axes=(axis,), values=values), 0.5)
+                assert got == want, (n, spacing)
+
 
 class TestCsvContract:
     def _scan(self):
@@ -614,6 +643,15 @@ class TestCsvContract:
             e[3 * i:3 * i + 3] = k
             mantissa[3 * i:3 * i + 2] = 10**11, 10**12 - 1  # 1.00000000000, 9.99999999999
         e[-1] = mantissa[-1] = 0
+        # fields rounded twice whose value lies past the candidate's neighbour,
+        # found by exact arithmetic, and the 12-digit fields nearest a power
+        # of two: none lies within 67 gaps, so no neighbour there is one
+        past = fields_past_the_neighbour(np.random.default_rng(23), 40_000)
+        assert len(past) == 390
+        nearest = fields_nearest_powers_of_two()
+        assert len(nearest) == 1752 and min(gaps for gaps, _, _ in nearest) > 67
+        constructed = past + [(m, k) for _, m, k in nearest if m >= 10**11]
+        mantissa[-1 - len(constructed):-1], e[-1 - len(constructed):-1] = zip(*constructed)
         fields = np.zeros((e.size, 17), np.uint8)
         fields[:, [1, 13]] = ord("."), ord("e")
         fields[:, 14] = np.where(e < 0, ord("-"), ord("+"))
@@ -658,6 +696,38 @@ class TestCsvContract:
         with pytest.raises(ValueError, match=r"data row 5000 holds coordinates \(0\.5, .*\), "
                                              r"where the axes put \(0\.5, "):
             read_scan_csv(path)
+
+    @pytest.mark.parametrize("column, byte", [
+        (20, "4"),  # a coordinate digit
+        (17, ";"),  # a separator
+        (40, ":"),  # a value digit, one above "9"
+        (40, "/"),  # and one below "0"
+        (50, ","),  # the exponent sign, between "+" and "-"
+        (53, "\r"),  # the line end
+    ], ids=["coordinate", "separator", "digit-above", "digit-below", "exponent-sign", "cr"])
+    def test_a_flipped_byte_leaves_the_byte_path(self, tmp_path, monkeypatch, column, byte):
+        path, header, rows = self._long_file(tmp_path, inner=POSITIVE)
+        line = rows[10_000]  # in the second block: x,y,F with F at 36-52
+        assert line[column] != byte and re.fullmatch(r"(\d\.\d{11}e[+-]\d\d,){2}"
+                                                      r"\d\.\d{11}e-\d\d\n", line)
+        rows[10_000] = line[:column] + byte + line[column + 1:]
+        path.write_bytes("".join(header + rows).encode())
+        try:
+            whole, message = np.loadtxt(path, delimiter=",", comments="#", ndmin=2), None
+        except ValueError as err:
+            whole, message = None, str(err)
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        if column == 20:
+            with pytest.raises(ValueError, match=r"data row 10001 holds coordinates"):
+                read_scan_csv(path)
+        elif message is not None:
+            with pytest.raises(ValueError) as got:
+                read_scan_csv(path)
+            assert str(got.value) == message
+        else:
+            assert read_scan_csv(path).values.tobytes() == whole[:, -1].tobytes()
+        assert calls
 
     @pytest.mark.parametrize("inner", [SIGNED, POSITIVE])
     def test_crlf_and_cr_line_ends_read_the_same_bits(self, tmp_path, inner):
@@ -726,6 +796,36 @@ def first_mismatch(result):
     return next(((i, *pair) for i, pair in enumerate(pairs) if pair[0] != pair[1]), None)
 
 
+def fields_past_the_neighbour(rng, n):
+    """(M, e) of the fields M * 10**(e - 11), among n random ones rounded
+    twice, whose value lies past the neighbour of q = M / 1e22 / 10**(-11 - e)
+    on its side: q is more than one gap from the value."""
+    found = []
+    for m, k in zip(rng.integers(10**11, 10**12, n).tolist(), rng.integers(-33, -11, n).tolist()):
+        q = m / 1e22 / float(10 ** (-11 - k))
+        exact = Fraction(m, 10 ** (11 - k))
+        near = math.nextafter(q, math.inf if exact > q else 0.0)
+        if (exact > near) if near > q else (exact < near):
+            found.append((m, k))
+    return found
+
+
+def fields_nearest_powers_of_two():
+    """(distance in gaps above 2**p, M, e) of the fields M * 10**(e - 11),
+    0 < M < 10**12, nearest 2**p for every e rounded twice and every p."""
+    nearest = []
+    for k in range(-33, -11):
+        scale = 10 ** (11 - k)
+        for p in range(-200, 0):
+            two = Fraction(2) ** p
+            if not 1 <= two * scale < 10**12:
+                continue
+            for m in (math.floor(two * scale), math.ceil(two * scale)):
+                if m < 10**12:
+                    nearest.append((float(abs(Fraction(m, scale) - two) / two * 2**52), m, k))
+    return nearest
+
+
 EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e300]
 BLOCK = scan._BLOCK
 
@@ -779,6 +879,45 @@ class TestBlockWriter:
         axes = tuple(SweepAxis(name, 1e-3, 2.0, n, spacing) for name, n in zip(names, shape))
         result = ScanResult(axes=axes, values=values)
         assert first_mismatch(result) is None
+
+    @staticmethod
+    def _template_case(case):
+        rng = np.random.default_rng(23)
+        names = ("pulse_area_fraction", "duration_fraction")
+        shape = (3, 9000) if case == "map" else (20_000,)
+        values = 10.0 ** rng.uniform(-99.0, 99.99, shape)
+        taken = 6 if case == "map" else 3  # blocks of the template, of 6 or 3
+        if case == "edges":  # 1e-100 sends its block to the padded path
+            values[[0, 1, 9000, 9001, 9002, 19_000]] = 0.0, 1e-99, 9.99999999999e-100, 1e-100, 0.0, 1e-99
+            taken = 2
+        elif case == "ties":  # rounding ties, which take Python's format
+            values[::7] = [float(f"{d}5e{k - 12}") for d, k in zip(
+                rng.integers(10**11, 10**12, values[::7].size).tolist(),
+                rng.integers(-99, 100, values[::7].size).tolist())]
+        elif case in ("nan", "negative"):
+            values[[100, 17_000]] = (np.nan, np.inf) if case == "nan" else (-1e-5, -0.0)
+            taken = 1
+        axes = tuple(SweepAxis(name, 0.5, 1.5, n) for name, n in zip(names, shape))
+        return ScanResult(axes=axes, values=values), taken
+
+    @pytest.mark.parametrize("case", ["curve", "map", "edges", "ties", "nan", "negative"])
+    def test_the_template_writes_the_padded_bytes(self, monkeypatch, case):
+        result, taken = self._template_case(case)
+        spell, spelled = scan._format_e11, []
+
+        def spy(values, text=None):
+            out = spell(values, text)
+            if text is not None:
+                spelled.append(out is not None)
+            return out
+
+        monkeypatch.setattr(scan, "_format_e11", spy)
+        written = b"".join(bytes(chunk) for chunk in scan._csv_bytes(result, None))
+        assert sum(spelled) == taken
+        monkeypatch.setattr(scan, "_format_e11",
+                            lambda values, text=None: None if text is not None else spell(values))
+        assert b"".join(bytes(chunk) for chunk in scan._csv_bytes(result, None)) == written
+        assert written.split(b"infidelity\n", 1)[1] == reference_rows(result).encode()
 
     def test_memory_stays_far_below_the_bytes_written(self):
         class Discard:

@@ -27,23 +27,26 @@ CSV output carries the full metadata as '#'-prefixed header lines followed
 by "x[,y],F" rows in scientific notation with 12 significant digits.  Axis
 bounds are written exactly, so write, read and write again gives the same
 bytes.  The writer and the reader walk the rows in the same blocks of whole
-rows (at most 8,192 values), each with its coordinates' codes.  The writer
-spells digits in numpy, byte for byte Python's "%.11e": integer arithmetic
-on a 12-digit mantissa scaled to within 2.3e-4, with Python's own format
-for the few values within 1e-3 of a rounding tie, beyond |e| >= 100 or not
-finite.  A block whose texts all take 17 bytes, d.ddddddddddde+dd (no sign,
-two exponent digits), has one byte template with its coordinates and
-separators that the writer and the reader share: the writer spells each
-value into it, and the reader checks a block against it in one range
-compare and parses each value from its 12 digits M and exponent e: one
-multiply or divide by an exact power of ten where |e - 11| <= 22
-(Clinger), Dekker's exact remainders to correct two roundings where
--33 <= e <= -12, numpy's cast elsewhere and within 2**-30 ulp of a
-rounding tie.  The writer spells other blocks as 19 NUL-padded codes per
-field, NULs dropped, and holds one block.  Negative coordinates (fig3,
-fig4), or a block off that layout (a comment, a CRLF, a signed value, three
-exponent digits), send the rest of the file to numpy.loadtxt, checked
-against each block's span of the axes.  Both give float() of a field.
+rows (at most 8,192 values).  The writer spells digits in numpy, byte for
+byte Python's "%.11e": integer arithmetic on a 12-digit mantissa scaled to
+within 2.3e-4, with Python's own format for the few values within 1e-3 of a
+rounding tie, beyond |e| >= 100 or not finite.  Every block has one byte
+template that the writer and the reader share: its coordinates and
+separators, and value fields of 17 bytes, d.ddddddddddde+dd (no sign, two
+exponent digits).  A coordinate takes 17 to 19 bytes (a sign, a third
+exponent digit), so the template is a few rectangles, each holding lines of
+one length: rows whose outer coordinate has one layout times columns whose
+inner coordinate has one.  The writer spells a block's values once into a
+contiguous scratch and copies them into each rectangle's value fields; a
+block with a value off that layout (a sign, three exponent digits, NaN or
+inf) comes out as Python's "%.11e" of each point.  The reader checks each
+rectangle against the template in one range compare and parses each value
+from its 12 digits M and exponent e: one multiply or divide by an exact
+power of ten where |e - 11| <= 22 (Clinger), Dekker's exact remainders to
+correct two roundings where -33 <= e <= -12, numpy's cast elsewhere and
+within 2**-30 ulp of a rounding tie.  A block off the template (a comment, a
+CRLF, a value off the layout) sends the rest of the file to numpy.loadtxt,
+checked against each block's span of the axes.  Both give float() of a field.
 """
 
 from __future__ import annotations
@@ -384,9 +387,10 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarra
     of random doubles do.  Zero and a mantissa that carries into the next
     power of ten stay on the integer path.
 
-    Given ``text``, codes of shape ``values.shape + (17,)`` such as a
-    block's value fields, it spells columns 1-17 there, or writes nothing and
-    returns None if a text has a sign, three exponent digits or no digits.
+    Given ``text``, codes of shape ``values.shape + (17,)`` such as the
+    writer's scratch for a block, it spells columns 1-17 there, or writes
+    nothing and returns None if a text has a sign, three exponent digits or
+    no digits.
     """
     v = np.asarray(values, dtype=float)
     scaled = np.abs(v)  # |v|, scaled by 10**(11 - e) in place
@@ -441,58 +445,116 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarra
 _CANONICAL = 17
 _LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
 _SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
+_VALUE = slice(-_CANONICAL - 1, -1)  # a line's value field, before its "\n"
+_PIECE = 4096  # lines per step of the reader's byte check: bounds its temporaries
+
+
+def _runs(codes: np.ndarray) -> list[tuple[slice, slice]]:
+    """Each run of :func:`_format_e11` rows whose texts take the same columns.
+
+    A run comes as its rows and its texts' columns: from 0 with a sign, else
+    from 1, to 19 with a third exponent digit, else to 18.  An axis grid is
+    monotonic, so it has few runs: negative, zero and positive values, and
+    any band of values below 1e-99 or from 1e100 on.
+    """
+    kinds = (codes[:, 0] != 0) * 2 + (codes[:, -1] != 0)
+    edges = [0, *(np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist(), len(kinds)]
+    return [(slice(a, b), slice(1 - k // 2, 18 + k % 2))
+            for a, b, k in zip(edges, edges[1:], kinds[edges[:-1]].tolist())]
+
+
+def _layout(row_runs: list, column_runs: list) -> tuple[list[tuple], int]:
+    """The rectangles of a block's lines and its size in bytes, from its runs.
+
+    A rectangle is its rows, its columns, the byte offset of its first line,
+    the bytes from one row to the next, its line length, and where its texts
+    go: the length of "x," (0 on a curve) and the columns of the x and y texts.
+    """
+    rects, size = [], 0
+    for rows, xt in row_runs:
+        lead = 0 if xt is None else xt.stop - xt.start + 1
+        widths = [lead + yt.stop - yt.start + _CANONICAL + 2 for _, yt in column_runs]
+        stride = sum(w * (cols.stop - cols.start) for (cols, _), w in zip(column_runs, widths))
+        for (cols, yt), w in zip(column_runs, widths):
+            rects.append((rows, cols, size, stride, w, lead, xt, yt))
+            size += w * (cols.stop - cols.start)
+        size += stride * (rows.stop - rows.start - 1)
+    return rects, size
+
+
+def _rectangle(lines: np.ndarray, rect: tuple) -> np.ndarray:
+    """A rectangle of a block's lines, a (rows, columns, line) view of its codes."""
+    rows, columns, offset, stride, width = rect[:5]
+    return np.ndarray((rows.stop - rows.start, columns.stop - columns.start, width),
+                      np.uint8, lines, offset, (stride, width, 1))
 
 
 def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple]:
     """A scan's data rows in the blocks that the CSV writer and reader walk.
 
     A block is whole rows of at most 8,192 values, or part of one row if the
-    inner axis is longer.  It comes as its first flat index, the
-    :func:`_format_e11` rows of its outer coordinates (None for a curve),
-    sliced from those of up to 8,192 rows, and of its inner ones, made once
-    unless the inner axis spans blocks, then its lines if no coordinate has a
-    sign or a third exponent digit, else None.  The lines, one per row of
-    18-byte fields, are a leading part of one template made for the largest
-    block: each coordinate's 17 codes and ",", then "0.00000000000e+00\n".
-    Separators and value fields are set once, inner coordinates when they
-    change and outer ones for every block, so a block's lines hold until the
-    next block is taken.
+    inner axis is longer.  It comes as its first flat index, its coordinates
+    (one grid slice per axis), its lines and their rectangles.  The lines are
+    one byte template, "x,y,0.00000000000e+00\n" for every point (without
+    "x," on a curve), each coordinate spelled by :func:`_format_e11`.  A
+    rectangle (:func:`_layout`) holds lines of one length: the block's rows
+    in one run of the outer axis (:func:`_runs`; a curve's block is one row)
+    times its columns in one run of the inner axis; :func:`_rectangle` views
+    it in the lines.
+
+    The lines are a leading part of one buffer, made for the largest block.
+    Separators and value fields are set when the rectangles change, inner
+    coordinates when they change and outer ones for every block, so a block's
+    lines hold until the next block is taken.  Inner codes are kept only
+    while they serve every block.
     """
     *outer, inner = (ax.grid() for ax in axes)
     step = min(inner.size, _BLOCK)  # inner values per block
     rows = _BLOCK // step  # whole rows per block
     span = rows * (_BLOCK // rows)  # outer values formatted at once, in whole blocks
-    y = template = None
+    y = buffer = laid = None
     for c in range(0, outer[0].size if outer else 1, span):
-        xs = _format_e11(outer[0][c:c + span]) if outer else [None]
-        for r in range(0, len(xs), rows):
+        xs = _format_e11(outer[0][c:c + span]) if outer else None
+        xruns = _runs(xs) if outer else [(slice(0, 1), None)]
+        for r in range(0, len(xs) if outer else 1, rows):
+            x = xs[r:r + rows] if outer else None
+            row_runs = [(slice(max(a.start - r, 0), min(a.stop - r, rows)), xt)
+                        for a, xt in xruns if r < a.stop and a.start < r + rows]
             for lo in range(0, inner.size, step):
-                if y is None or step < inner.size:
-                    y, filled = _format_e11(inner[lo:lo + step]), False
-                x, lines = (xs[r:r + rows] if outer else None), None
-                codes = [y] if x is None else [x, y]
-                if not any((code[:, 0] | code[:, -1]).any() for code in codes):
-                    if template is None:
-                        shape = (min(rows, outer[0].size) if outer else 1, step, len(codes) + 1)
-                        template = np.tile(np.frombuffer(_LOWEST.tobytes() + b",", np.uint8), shape)
-                        template[..., -1], filled = ord("\n"), False
-                    lines = template[:1 if x is None else len(x), :len(y)]
-                    if not filled:
-                        lines[..., -2 * _CANONICAL - 2:-_CANONICAL - 2], filled = y[:, 1:-1], True
-                    if x is not None:
-                        lines[..., :_CANONICAL] = x[:, None, 1:-1]
-                    lines = lines.reshape(-1, template.shape[-1])
-                yield (c + r) * inner.size + lo, x, y, lines
+                fresh = y is None or step < inner.size
+                if fresh:
+                    y = None  # not held while the next codes are spelled
+                    y = _format_e11(inner[lo:lo + step])
+                    column_runs = _runs(y)
+                rects, size = _layout(row_runs, column_runs)
+                if buffer is None or buffer.size < size:
+                    buffer, laid = np.empty(size, np.uint8), None
+                lines, whole = buffer[:size], laid != rects
+                for rect in rects:
+                    view, (xrows, ycols, *_, lead, xt, yt) = _rectangle(lines, rect), rect
+                    if whole:
+                        view[..., _VALUE.start - 1] = ord(",")
+                        view[..., _VALUE] = _LOWEST
+                        view[..., -1] = ord("\n")
+                        if xt is not None:
+                            view[..., lead - 1] = ord(",")
+                    if whole or fresh:
+                        view[..., lead:lead + yt.stop - yt.start] = y[ycols, yt]
+                    if xt is not None:
+                        view[..., :lead - 1] = x[xrows, None, xt]
+                laid = rects
+                coordinates = [outer[0][c + r:c + r + len(x)]] if outer else []
+                yield (c + r) * inner.size + lo, coordinates + [inner[lo:lo + step]], lines, rects
 
 
 def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | memoryview]:
     """The CSV contract as bytes: the UTF-8 header, then one chunk per block.
 
-    A block with lines (:func:`_blocks`) comes out as those lines, each
-    value's 17 codes spelled into its field, if its texts are canonical.
-    Others are laid out in one bytearray of 19 codes and a separator per
-    field, separators set once and inner coordinates when they change, and
-    come out NULs dropped.
+    A block's values are spelled once into a contiguous scratch of 17 codes
+    each, then copied into the value fields of each rectangle of its lines
+    (:func:`_blocks`), which come out as they stand.  A block with a value
+    off that layout (a sign, three exponent digits, NaN or inf) comes out
+    instead as Python's "%.11e" of each of its points.
     """
     header = ["# cpgates-scan\n"]
     for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
@@ -508,30 +570,22 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
     header.append(f"# columns: {names},infidelity\n")
     yield "".join(header).encode("utf-8")
 
-    columns = len(result.axes) + 1
+    line = b",".join([b"%.11e"] * (len(result.axes) + 1)) + b"\n"
     values = result.values.ravel()
-    whole = built = largest = None
-    for start, x, y, lines in _blocks(result.axes):
-        shape = (1 if x is None else len(x), len(y))
-        largest = largest or math.prod(shape)  # the first block is the largest
+    scratch = None
+    for start, coordinates, lines, rects in _blocks(result.axes):
+        shape = (1, *map(len, coordinates))[-2:]  # a curve's block is one row
         block = values[start:start + math.prod(shape)]
-        if lines is not None and _format_e11(block, lines[:, -_CANONICAL - 1:-1]) is not None:
-            yield lines.data
+        if scratch is None:  # for the first block, the largest
+            scratch = np.empty((block.size, _CANONICAL), np.uint8)
+        if _format_e11(block, scratch[:block.size]) is None:  # a sign, 3 exponent digits, NaN
+            points = itertools.product(*(g.tolist() for g in coordinates))
+            yield b"".join(line % (*p, v) for p, v in zip(points, block.tolist()))
             continue
-        if whole is None:  # for any block; a field takes 19 codes, then "," or "\n"
-            whole = bytearray(largest * columns * (_FIELD + 1))
-            text = np.frombuffer(whole, np.uint8).reshape(-1, columns, _FIELD + 1)
-            text[:, :-1, _FIELD] = ord(",")
-            text[:, -1, _FIELD] = ord("\n")
-        padded = text[:block.size].reshape(*shape, columns, _FIELD + 1)
-        if built is not y:
-            built = y
-            padded[:, :, -2, :_FIELD] = y
-        if x is not None:
-            padded[:, :, 0, :_FIELD] = x[:, None]
-        padded[:, :, -1, :_FIELD] = _format_e11(block).reshape(*shape, _FIELD)
-        # a slice of a bytearray is a copy, which a whole block does without
-        yield (whole if padded.size == len(whole) else whole[:padded.size]).translate(None, b"\0")
+        digits = scratch[:block.size].reshape(*shape, _CANONICAL)
+        for rect in rects:
+            _rectangle(lines, rect)[..., _VALUE] = digits[rect[0], rect[1]]
+        yield lines.data
 
 
 def write_scan_csv(result: ScanResult, stream: IO[str],
@@ -569,18 +623,45 @@ def _product_error(a, b):
     return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
 
 
-def _canonical_rows(lines: np.ndarray, template: np.ndarray, values: np.ndarray) -> bool:
+def _canonical_rows(lines: np.ndarray, template: np.ndarray, rects: list,
+                    values: np.ndarray) -> bool:
     """Parse a block's canonical lines into ``values``; False if a byte is off.
 
-    ``lines`` holds the block's bytes and ``template`` its lines from
-    :func:`_blocks`, both as ``(lines, line)`` codes.  One range compare
-    checks every byte: ``lines - template`` in uint8 is 0 outside the value
-    fields and at most ``_SPAN`` in them, where an exponent sign "," (1) is
-    refused apart.  It is taken in place, in pieces of 1,024 lines that bound
-    the temporaries, and leaves the value digits as 0-9.
+    ``lines`` holds the block's bytes, ``template`` and ``rects`` its lines
+    and their rectangles from :func:`_blocks`, and ``values`` its (rows,
+    columns) values.  One range compare per rectangle checks every byte:
+    ``lines - template`` in uint8 is 0 outside the value fields and at most
+    ``_SPAN`` in them, where an exponent sign "," (1) is refused apart.  It
+    is taken in place, in pieces of at most 4,096 lines that bound the
+    temporaries, and leaves the value digits as 0-9, which :func:`_parse`
+    reads.  A rectangle of one row or of whole rows is parsed in place, and
+    others through a copy of their fields and values.
+    """
+    for rect in rects:
+        got, want = _rectangle(lines, rect), _rectangle(template, rect)
+        rows, columns, width = got.shape
+        span = np.zeros(width, np.uint8)
+        span[_VALUE] = _SPAN
+        step = max(1, _PIECE // columns)
+        for i, j in itertools.product(range(0, rows, step), range(0, columns, _PIECE)):
+            at = np.s_[i:i + step, j:j + _PIECE]
+            if not (np.subtract(got[at], want[at], out=got[at]) <= span).all():
+                return False
+        if (got[..., -4] == 1).any():
+            return False
+        cells = values[rect[0], rect[1]]
+        parsed = cells.reshape(-1)
+        _parse(got[..., _VALUE].reshape(-1, _CANONICAL), parsed)
+        if not np.may_share_memory(parsed, cells):
+            cells[...] = parsed.reshape(cells.shape)
+    return True
 
-    A value d.ddddddddddde±dd is M * 10**j: M, its 12 digits, is summed
-    column by column in int64 (M < 2**53), and j = e - 11.  Where |j| <= 22,
+
+def _parse(value: np.ndarray, values: np.ndarray) -> None:
+    """Parse (n, 17) fields d.ddddddddddde±dd, as digits 0-9, into ``values``.
+
+    A value is M * 10**j: M, its 12 digits, is summed column by column in
+    ``values`` (exact, as M < 2**53), and j = e - 11.  Where |j| <= 22,
     one multiply or divide by the exact 10**|j| rounds correctly (Clinger).
     Where -44 <= j <= -23, q = M / 1e22 / 10**(-j - 22) rounds twice, and
     Dekker's two-products give both remainders exactly: q moves to its
@@ -592,27 +673,20 @@ def _canonical_rows(lines: np.ndarray, template: np.ndarray, values: np.ndarray)
     bytes-to-float cast, which rounds correctly, reads other j and a distance
     within 2**-30 of one half.  So every value is ``float`` of its field.
     """
-    field = slice(-_CANONICAL - 1, -1)
-    span = np.zeros(lines.shape[1], np.uint8)
-    span[field] = _SPAN
-    for lo in range(0, len(lines), 1024):
-        piece = np.subtract(lines[lo:lo + 1024], template[lo:lo + 1024], out=lines[lo:lo + 1024])
-        if not ((piece <= span).all() and (piece[:, field][:, 14] != 1).all()):
-            return False
-    value = lines[:, field]
-    mantissa = value[:, 0].astype(np.int64)
+    values[:] = value[:, 0]
     for column in range(2, 13):
-        mantissa *= 10
-        mantissa += value[:, column]
+        values *= 10
+        values += value[:, column]
     e = value[:, 15].astype(np.int16) * 10 + value[:, 16]  # not in uint8, which wraps
     e *= 1 - value[:, 14].astype(np.int16)  # "+" is 0 and "-" 2
-    np.multiply(mantissa, _TIMES[e + 99], out=values)
+    values *= _TIMES[e + 99]
     values /= _OVER[e + 99]
     slow = [np.flatnonzero((e < -33) | (e > 11 + _CLINGER))]
     twice = np.flatnonzero((e >= -33) & (e < 11 - _CLINGER))
     for at in np.split(twice, range(1024, twice.size, 1024)):  # pieces bound the memory
         q1 = values[at]  # M / 1e22
-        r1 = (mantissa[at] - q1 * _EXACT[-1]) - _product_error(q1, _EXACT[-1])
+        m = np.rint(q1 * _EXACT[-1])  # M: q1 * 1e22 lies within 3e-4 of it
+        r1 = (m - q1 * _EXACT[-1]) - _product_error(q1, _EXACT[-1])
         scale = _EXACT[11 - _CLINGER - e[at]]
         q = q1 / scale
         r2 = (q1 - q * scale) - _product_error(q, scale)
@@ -623,7 +697,6 @@ def _canonical_rows(lines: np.ndarray, template: np.ndarray, values: np.ndarray)
         slow.append(at[np.abs(past - 0.5) < 2.0 ** -30])
     slow = np.concatenate(slow)
     values[slow] = (value[slow] + _LOWEST).view(f"S{_CANONICAL}")[:, 0]
-    return True
 
 
 def read_scan_csv(path) -> ScanResult:
@@ -636,11 +709,12 @@ def read_scan_csv(path) -> ScanResult:
     same bytes.
 
     The rows are read a block of :func:`_blocks` at a time into the values
-    array.  A block with lines (no coordinate with a sign or a third exponent
-    digit) is read as fixed-width bytes and taken as it stands if it matches
-    its template in one range compare: coordinates and separators byte for
-    byte, values in the canonical layout (:func:`_canonical_rows`).  From the
-    first block that does not, and after the last expected row,
+    array.  A block is read as the bytes of its template's lines and taken as
+    it stands if each of its rectangles matches the template in one range
+    compare: coordinates and separators byte for byte, values in the
+    canonical layout (:func:`_canonical_rows`).  From the first block that
+    does not (a comment, a CRLF, a value with a sign or three exponent
+    digits, NaN or inf), and after the last expected row,
     ``numpy.loadtxt`` parses the text 8,192 lines at a time, skipping blank
     and comment lines; its errors name the file's data row.  Values are
     ``float`` of each field either way: read from their digits, exactly from
@@ -688,16 +762,17 @@ def read_scan_csv(path) -> ScanResult:
         fh.seek(data)
         values = np.empty(size)  # a read holds its values and one block
         found, fields = 0, width
-        raw = None  # made for the first block, the largest
-        for start, _, _, template in _blocks(tuple(axes)):
-            if template is None:
-                break
-            raw = np.empty(template.shape, np.uint8) if raw is None else raw
-            at, block, rows = fh.tell(), raw[:len(template)], values[start:start + len(template)]
-            if fh.readinto(block) != block.size or not _canonical_rows(block, template, rows):
+        raw = None  # made for the largest block in bytes
+        for start, coordinates, template, rects in _blocks(tuple(axes)):
+            lines = (1, *map(len, coordinates))[-2:]  # rows and columns
+            if raw is None or raw.size < template.size:
+                raw = np.empty(template.size, np.uint8)
+            at, block, rows = fh.tell(), raw[:template.size], values[start:start + math.prod(lines)]
+            if (fh.readinto(block) != block.size
+                    or not _canonical_rows(block, template, rects, rows.reshape(lines))):
                 fh.seek(at)
                 break
-            found = start + len(rows)
+            found = start + rows.size
         # the axes as the file holds them: whole up to a block's length, else by span
         grids = [ax.grid() for ax in axes] if found < size else []
         backs = [_read_back(g) if g.size <= _BLOCK else None for g in grids]

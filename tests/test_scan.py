@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cpgates import pulses, scan
+from cpgates.presets import preset_jobs
 from cpgates.pulses import IntegratorConfig, PulseSpec
 from cpgates.scan import (
     ScanError,
@@ -37,8 +38,8 @@ from cpgates.sequences import (
 )
 
 PI = math.pi
-# inner axes of a long map: one with a sign in its coordinates, whose rows
-# numpy.loadtxt parses, and one whose rows are all canonical
+# inner axes of a long map: one with a sign in some of its coordinates, and
+# one without
 SIGNED = ("detuning_times_T", -1.0, 1.0)
 POSITIVE = ("duration_fraction", 0.6, 1.4)
 
@@ -574,6 +575,9 @@ class TestCsvContract:
 
     def test_errors_in_later_blocks_name_the_whole_file(self, tmp_path):
         path, header, rows = self._long_file(tmp_path)
+        # a CRLF line end in the first block sends every block to
+        # numpy.loadtxt, 8,192 lines at a time from the first row
+        rows[0] = rows[0].replace("\n", "\r\n")
         rows[19_999], rows[20_000] = rows[20_000], rows[19_999]  # third block
         path.write_text("".join(header + rows))
         with pytest.raises(ValueError, match=r"data row 20000 holds coordinates \(1\.5, "):
@@ -631,6 +635,63 @@ class TestCsvContract:
         monkeypatch.setattr(np, "loadtxt", refuse)
         for path, want in zip(paths, whole):
             assert read_scan_csv(path).values.tobytes() == want.tobytes(), path.name
+
+    @staticmethod
+    def _signed_layout(case):
+        if case in ("fig3", "fig4"):  # a preset's axes
+            axes = preset_jobs(case)[0].axes
+        else:
+            axes = {
+                "signed-outer": (SweepAxis("detuning_times_T", -2.0, 2.0, 41),
+                                 SweepAxis(*POSITIVE, 300)),
+                # coordinates from 1e-120, with three exponent digits below 1e-99
+                "three-exponent-digits": (
+                    SweepAxis("pulse_area_fraction", 1e-120, 1e-80, 30, "log"),
+                    SweepAxis("duration_fraction", 1e-120, 1.0, 300, "log")),
+                "curve-across-zero": (SweepAxis(*SIGNED, 20_001),),
+                # rows of 9,000 points, each over two blocks
+                "signed-rows-across-blocks": (SweepAxis("pulse_area_fraction", 0.5, 1.5, 3),
+                                              SweepAxis(*SIGNED, 9000)),
+            }[case]
+        rng = np.random.default_rng(24)
+        values = 10.0 ** rng.uniform(-99.0, 99.99, tuple(ax.samples for ax in axes))
+        return ScanResult(axes=axes, values=values)
+
+    @pytest.mark.parametrize("case, rectangles", [
+        pytest.param(case, n, id=case) for case, n in (
+            ("signed-outer", 2), ("three-exponent-digits", 4), ("curve-across-zero", 2),
+            ("signed-rows-across-blocks", 2), ("fig3", 2), ("fig4", 2))])
+    def test_signed_layouts_read_as_bytes(self, tmp_path, monkeypatch, case, rectangles):
+        result = self._signed_layout(case)
+        # the most rectangles in a block: a run of lines of each length
+        assert max(len(rects) for *_, rects in scan._blocks(result.axes)) == rectangles
+        path = tmp_path / "signed.csv"
+        save_scan_csv(result, path)
+        assert path.read_bytes().split(b"infidelity\n", 1)[1] == reference_rows(result).encode()
+        whole = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)[:, -1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block of a signed layout went to numpy.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert read_scan_csv(path).values.ravel().tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("byte", [".", "/"])  # one and two above "-"
+    def test_a_flipped_sign_leaves_the_byte_path(self, tmp_path, monkeypatch, byte):
+        path = tmp_path / "signed.csv"
+        save_scan_csv(self._signed_layout("signed-outer"), path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 100
+        assert lines[at].startswith("-")  # x, negative, in the first block
+        lines[at] = byte + lines[at][1:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as whole:
+            np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        with pytest.raises(ValueError) as got:
+            read_scan_csv(path)
+        assert str(got.value) == str(whole.value) and calls
 
     def test_value_digits_read_as_numpys_cast(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(22)
@@ -740,14 +801,15 @@ class TestCsvContract:
     def test_read_memory_is_bounded_by_the_block(self, tmp_path):
         rect = PulseSpec.rectangular(PI)
         # bounds, in multiples of the values.  Beside the values a read holds
-        # one block of at most 8,192 lines as bytes and its checks: 1.63x
-        # measured on the map (1.59x when numpy cast the values, 1.44x when
-        # numpy parsed every block; parsing the whole file at once measured
-        # 4.1x).  A long curve also holds its axis grid: 2.79x measured on
-        # the positive curve, 4.69x when the reader kept every coordinate's
-        # 17-byte text.  The signed curve, parsed by numpy, reads back one
-        # block's coordinates at a time: 2.78x, 3.66x when it read back the
-        # whole axis
+        # one block of at most 8,192 lines as bytes, its template and its
+        # checks: 1.89x measured on the map (1.91x when a block's mantissas
+        # were summed in int64, 1.44x when numpy parsed every block; parsing
+        # the whole file at once measured 4.1x).  A long curve also holds its
+        # axis grid: 2.76x measured on the positive curve and 2.77x on the
+        # signed one, read as bytes too (2.86x when the reader held the
+        # previous block's coordinate codes while it spelled the next, 4.69x
+        # when it kept every coordinate's 17-byte text, 3.66x when numpy
+        # parsed the signed curve and its whole axis was read back)
         cases = [
             (scan_2d(SweepAxis("pulse_area_fraction", 0.5, 1.5, 400),
                      SweepAxis(*POSITIVE, 400), bb_gate(25), rect), 2),
@@ -902,6 +964,9 @@ class TestBlockWriter:
 
     @pytest.mark.parametrize("case", ["curve", "map", "edges", "ties", "nan", "negative"])
     def test_the_template_writes_the_padded_bytes(self, monkeypatch, case):
+        # the path every block is forced onto below, which writes a block
+        # with a value off the template, is Python's "%.11e" of each point;
+        # it replaced the NUL-padded writer the test is named after
         result, taken = self._template_case(case)
         spell, spelled = scan._format_e11, []
 
@@ -918,6 +983,30 @@ class TestBlockWriter:
                             lambda values, text=None: None if text is not None else spell(values))
         assert b"".join(bytes(chunk) for chunk in scan._csv_bytes(result, None)) == written
         assert written.split(b"infidelity\n", 1)[1] == reference_rows(result).encode()
+
+    @pytest.mark.parametrize("value", [1e-120, -0.5])
+    def test_a_value_off_the_layout_writes_pythons_text(self, tmp_path, monkeypatch, value):
+        axes = (SweepAxis("detuning_times_T", -1.0, 1.0, 3), SweepAxis(*SIGNED, 9000))
+        values = 10.0 ** np.random.default_rng(25).uniform(-99.0, 99.99, (3, 9000))
+        values[1, 100] = value  # in the third of six blocks
+        result = ScanResult(axes=axes, values=values)
+        spell, spelled = scan._format_e11, []
+
+        def spy(values, text=None):
+            out = spell(values, text)
+            if text is not None:
+                spelled.append(out is not None)
+            return out
+
+        monkeypatch.setattr(scan, "_format_e11", spy)
+        path = tmp_path / "off.csv"
+        save_scan_csv(result, path)
+        assert spelled == [True, True, False, True, True, True]
+        assert path.read_bytes().split(b"infidelity\n", 1)[1] == reference_rows(result).encode()
+        whole = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)[:, -1]
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        assert read_scan_csv(path).values.ravel().tobytes() == whole.tobytes() and calls
 
     def test_memory_stays_far_below_the_bytes_written(self):
         class Discard:

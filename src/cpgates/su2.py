@@ -13,6 +13,10 @@ composite pulse and its phased copy into the gate, and the one distance
 All work elementwise on Python complex numbers and numpy arrays alike, so a
 point query and a scan grid run the same kernels; :func:`sequence_propagator`
 and :func:`infidelity` wrap them for one :class:`Propagator`.  All are pure.
+
+:func:`fold` carries the product's a and, in place of its b, b's conjugate
+turned by the current pulse's phase, so a pulse costs seven elementwise
+passes, five of them in place; its docstring gives the derivation.
 """
 
 from __future__ import annotations
@@ -82,15 +86,38 @@ def with_phase(u: Propagator, phase: float) -> Propagator:
 def fold(phases: Iterable[float], a, b):
     """Product U(phase[n-1]) ... U(phase[0]) of one pulse (a, b), phased.
 
-    The k-th listed phase acts k-th in time.  Only arithmetic operators and
-    ``.conjugate()`` touch (a, b), so Python complex numbers cost no numpy
-    calls and numpy arrays are folded elementwise.
+    The k-th listed phase acts k-th in time; no phases give the identity
+    (1, 0).  Pulse k is (a, b_k), b_k = b e^{i phase_k}, and takes the
+    product (ga, gb) to (a ga - b_k conj(gb), a gb + b_k conj(ga)).  Carry
+    d = e^{i phase_k} conj(gb) in place of gb: then b_k conj(gb) = b d and
+    conj(gb') = e^{-i phase_k} (conj(a) d + conj(b) ga).  So each pulse after
+    the first, which sets ga = a and d = conj(b), is
+
+        d <- d e^{i(phase_k - phase_{k-1})};   t = b d;
+        d <- conj(a) d + conj(b) ga;           ga <- a ga - t
+
+    and gb = conj(d e^{-i phase_{n-1}}) at the end: seven passes over an
+    array per pulse, five of them in place and two into fresh temporaries.
+    In-place operators rebind Python complex numbers, so one body folds a
+    point query's scalars and a scan block's arrays.  Only arithmetic
+    operators and ``.conjugate()`` touch (a, b), and neither is written to;
+    real inputs give complex results.
     """
-    ga, gb = 1.0 + 0.0j, 0.0j
+    phases = iter(phases)
+    last = next(phases, None)
+    if last is None:
+        return 1.0 + 0.0j, 0.0j
+    ca, cb = a.conjugate(), b.conjugate()
+    ga, d = a + 0j, cb + 0j  # complex copies: the loop writes into these only
     for phase in phases:
-        bk = b * complex(math.cos(phase), math.sin(phase))
-        ga, gb = a * ga - bk * gb.conjugate(), a * gb + bk * ga.conjugate()
-    return ga, gb
+        d *= cmath.exp(1j * (phase - last))
+        t = b * d
+        d *= ca
+        d += cb * ga
+        ga *= a
+        ga -= t
+        last = phase
+    return ga, (d * cmath.exp(-1j * last)).conjugate()
 
 
 def phase_gate(a, b, gate_phase: float):

@@ -162,6 +162,25 @@ MUTANTS = (
            "    t = complex(math.cos(gate_phase / 2.0), -math.sin(gate_phase / 2.0))",
            ("tests/test_properties.py::test_gate_closure_matches_the_brute_force_chain",
             "tests/test_sequences.py::TestGatePropagator::test_matches_explicit_six_matrix_product")),
+    Mutant("the fold's turn between pulses by the opposite phase step",
+           "su2.py",
+           "d *= cmath.exp(1j * (phase - last))",
+           "d *= cmath.exp(-1j * (phase - last))",
+           ("tests/test_properties.py::test_gate_closure_matches_the_brute_force_chain",
+            "tests/test_acceptance.py::test_criterion_9_sequence_product_oracle")),
+    Mutant("the fold's closing turn by e^{-i phase_{n-1}} dropped",
+           "su2.py",
+           "return ga, (d * cmath.exp(-1j * last)).conjugate()",
+           "return ga, d.conjugate()",
+           ("tests/test_acceptance.py::test_criterion_9_sequence_product_oracle",
+            "tests/test_su2.py::TestCompose::test_relative_phase_identity",
+            "tests/test_su2.py::TestFold::test_python_floats_and_zero_d_arrays")),
+    Mutant("the fold's conj(a) taken as a",
+           "su2.py",
+           "ca, cb = a.conjugate(), b.conjugate()",
+           "ca, cb = a, b.conjugate()",
+           ("tests/test_properties.py::test_gate_closure_matches_the_brute_force_chain",
+            "tests/test_properties.py::test_fold_stays_unitary")),
 )
 
 

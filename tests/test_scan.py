@@ -284,6 +284,23 @@ class TestBlockKernel:
         small = scan_2d(SweepAxis("pulse_area_fraction", 0.5, 1.5, 2), ay,
                         seq, template)
         assert np.array_equal(large.values[[0, -1]], small.values)
+        # a detuned rect pulse has a and b fully complex, as in fig4's U5a map
+        seq = make_phase_gate_sequence(universal_phases("U5a"), PI / 4)
+        ay = SweepAxis("detuning_times_T", -2.0, 2.0, 100)
+        large = scan_2d(SweepAxis("duration_fraction", 0.5, 1.5, 200), ay,
+                        seq, template)
+        small = scan_2d(SweepAxis("duration_fraction", 0.5, 1.5, 2), ay,
+                        seq, template)
+        assert np.array_equal(large.values[[0, -1]], small.values)
+        # a curve whose two points on each side of a block edge are the
+        # endpoints of a two-point curve, where they sit in its first block
+        axis = SweepAxis("detuning_times_T", -2.0, 2.0, 20_000)
+        large = scan_1d(axis, seq, template)
+        x = axis.grid()
+        for edge in (scan._BLOCK, 2 * scan._BLOCK):
+            small = scan_1d(SweepAxis("detuning_times_T", x[edge - 1], x[edge], 2),
+                            seq, template)
+            assert np.array_equal(large.values[edge - 1:edge + 1], small.values)
 
     def test_memory_is_bounded_by_the_block(self):
         ax = SweepAxis("pulse_area_fraction", 0.5, 1.5, 400)

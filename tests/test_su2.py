@@ -9,6 +9,7 @@ import pytest
 from cpgates.su2 import (
     Propagator,
     TargetGate,
+    fold,
     infidelity,
     sequence_propagator,
     with_phase,
@@ -141,6 +142,61 @@ class TestSequencePropagator:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one phase"):
             sequence_propagator([], IDENTITY)
+
+
+def chain(phases, a, b):
+    """(0, 0) and (0, 1) entries of the brute-force product of phased pulses."""
+    total = np.eye(2, dtype=complex)
+    for p in phases:
+        total = with_phase(Propagator(a, b), p).matrix() @ total
+    return total[0, 0], total[0, 1]
+
+
+class TestFold:
+    """fold is total and pure on every input a point query or a scan gives it."""
+
+    PHASES = (0.3, 2.1, 5.9, 2.1, 0.3)
+
+    def test_no_phases_give_the_identity(self):
+        ones = np.full(3, 0.6 + 0.8j)
+        for a, b in ((0.6 + 0.8j, 0.0j), (0.6, 0.8), (ones, ones)):
+            for phases in ((), [], iter(()), np.array([])):
+                ga, gb = fold(phases, a, b)
+                assert ga == 1.0 and gb == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_real_arrays_give_complex_results(self, n):
+        theta = np.linspace(0.1, 3.0, 7)
+        a, b = np.cos(theta / 2), np.sin(theta / 2)
+        ga, gb = fold(self.PHASES[:n], a, b)
+        assert ga.dtype == gb.dtype == np.complex128
+        for i in range(theta.size):
+            want = chain(self.PHASES[:n], complex(a[i]), complex(b[i]))
+            assert abs(ga[i] - want[0]) < 1e-14 and abs(gb[i] - want[1]) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_the_callers_arrays_are_not_written(self, n, dtype):
+        rng = np.random.default_rng(3)
+        a, b = (rng.uniform(-1.0, 1.0, (2, 9)) + 1j * rng.uniform(-1.0, 1.0, (2, 9))
+                if dtype is np.complex128 else rng.uniform(-1.0, 1.0, (2, 9)))
+        before = a.tobytes(), b.tobytes()
+        fold(self.PHASES[:n], a, b)
+        assert (a.tobytes(), b.tobytes()) == before
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_python_floats_and_zero_d_arrays(self, n):
+        u = Propagator(math.cos(0.7) * cmath.exp(0.2j), math.sin(0.7) * cmath.exp(-1.1j))
+        want = chain(self.PHASES[:n], u.a, u.b)
+        ga, gb = fold(self.PHASES[:n], math.cos(0.7), math.sin(0.7))
+        assert isinstance(ga, complex) and isinstance(gb, complex)
+        real = chain(self.PHASES[:n], math.cos(0.7), math.sin(0.7))
+        assert abs(ga - real[0]) < 1e-14 and abs(gb - real[1]) < 1e-14
+        a, b = np.array(u.a), np.array(u.b)
+        ga, gb = fold(self.PHASES[:n], a, b)
+        assert np.ndim(ga) == np.ndim(gb) == 0
+        assert abs(ga - want[0]) < 1e-14 and abs(gb - want[1]) < 1e-14
+        assert (a[()], b[()]) == (u.a, u.b)
 
 
 class TestTargetGate:

@@ -20,9 +20,7 @@ from .su2 import (
     with_phase,
 )
 from .pulses import (
-    DEFAULT_CONFIG,
     IntegrationError,
-    IntegratorConfig,
     PulseSpec,
     constituent_propagator,
     resonant_rect_propagator,

@@ -32,17 +32,16 @@ b = 2 a_h b_h.  Inside a :func:`grid_reuse` scope, which ``cpgates preset``
 opens for one command, an integrated grid whose inputs repeat exactly is
 integrated once and handed out again; nothing is kept once the scope ends.
 
-Integration runs at :data:`DEFAULT_CONFIG` and over that window, both read
-at call time, on the grid as given (a scan's block of at most 8,192 points).
-The Rosen-Zener form keeps the same contract: where rounding could cost its
-phase more than ``DEFAULT_CONFIG.rel_tol``, which happens only beyond
-|Delta*T| of about 4,200, near where integration ran out of steps, it does
-not guess.
+Integration runs at :data:`REL_TOL` and :data:`MAX_STEPS` and over that
+window, all read at call time, on the grid as given (a scan's block of at
+most 8,192 points).  The Rosen-Zener form keeps the same contract: where
+rounding could cost its phase more than :data:`REL_TOL`, which happens only
+beyond |Delta*T| of about 4,200, near where integration ran out of steps, it
+does not guess.
 A failed grid point comes back as NaN, and a single pulse whose propagator
 is not finite raises :class:`IntegrationError`.  A :class:`PulseSpec` whose
 generalized Rabi frequency times its duration overflows is rejected as bad
-input.  Only :func:`integrate_pulse_grid`, the integrator's own entry point,
-takes a window and an :class:`IntegratorConfig`.
+input.
 
 Times are in arbitrary units; all physically meaningful inputs are the
 dimensionless products (pulse area, Delta*T, Omega_0*T, B*T).
@@ -54,7 +53,6 @@ import cmath
 import contextlib
 import contextvars
 import math
-import numbers
 import types
 from dataclasses import dataclass
 from typing import Iterator
@@ -66,9 +64,7 @@ from .su2 import Propagator
 
 __all__ = [
     "PulseSpec",
-    "IntegratorConfig",
     "IntegrationError",
-    "DEFAULT_CONFIG",
     "resonant_rect_propagator",
     "rect_propagator_grid",
     "grid_reuse",
@@ -82,6 +78,14 @@ __all__ = [
 #: 2*Omega0*T*exp(-w), which stays below 1e-8 for Omega0*T <= 20 at w = 25.
 #: The Rosen-Zener form has no tail and does not read it.
 DEFAULT_WINDOW_HALF_WIDTH = 25.0
+
+#: The integrator's accuracy contract.  A delivered propagator's unitarity
+#: defect must stay below 10 * REL_TOL.  Because local step control does not
+#: cap the accumulated error, the stepper runs 10x tighter, at relative
+#: tolerance 0.1 * REL_TOL and absolute tolerance 0.001 * REL_TOL, for
+#: margin, and gives up on a pulse after MAX_STEPS step attempts.
+REL_TOL = 1e-10
+MAX_STEPS = 100_000
 
 # Lanczos coefficients, g = 7, nine terms
 _LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
@@ -173,31 +177,6 @@ class PulseSpec:
         if detuning:
             raise ValueError("give either a constant detuning or a chirp")
         return cls("sech", peak_rabi, width, "tanh_chirp", chirp_rate)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Accuracy contract for pulse integration.
-
-    ``rel_tol`` bounds the delivered propagator: its unitarity defect must
-    stay below 10 * rel_tol.  Because local step control does not cap the
-    accumulated error, the stepper runs 10x tighter, at relative tolerance
-    0.1 * rel_tol and absolute tolerance 0.001 * rel_tol, for margin.
-    """
-
-    rel_tol: float = 1e-10
-    max_steps: int = 100_000
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:  # NaN fails too
-            raise ValueError("rel_tol must be positive and finite")
-        # a NaN budget never trips; a bool is an Integral but not a count
-        if (not isinstance(self.max_steps, numbers.Integral)
-                or isinstance(self.max_steps, bool) or self.max_steps < 1):
-            raise ValueError("max_steps must be an integer of at least 1")
-
-
-DEFAULT_CONFIG = IntegratorConfig()
 
 
 class IntegrationError(RuntimeError):
@@ -321,8 +300,8 @@ def _rosen_zener_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.ndarra
     pi / cosh(pi delta): the large real parts of the log gammas cancel
     exactly, so |a| and |b| carry only rounding, nothing overflows, and the
     poles of Gamma(z - alpha) give exact zeros.  Where rounding in the two
-    log gammas could move the phase of a by more than
-    ``DEFAULT_CONFIG.rel_tol``, a and b are NaN.
+    log gammas could move the phase of a by more than :data:`REL_TOL`, a
+    and b are NaN.
     """
     alpha = 0.5 * np.asarray(omega0, dtype=float) * duration
     delta_t = np.asarray(detuning, dtype=float) * duration
@@ -335,7 +314,7 @@ def _rosen_zener_grid(omega0, duration, detuning) -> tuple[np.ndarray, np.ndarra
     b = -1j * s * sech
     # a few eps of each |arg Gamma| (see _log_gamma), both doubled, with margin
     unresolved = 16.0 * np.finfo(float).eps * (np.abs(arg[0]) + np.abs(arg[1]))
-    ok = (unresolved <= DEFAULT_CONFIG.rel_tol) & np.isfinite(a) & np.isfinite(b)
+    ok = (unresolved <= REL_TOL) & np.isfinite(a) & np.isfinite(b)
     return np.where(ok, a, np.nan), np.where(ok, b, np.nan)
 
 
@@ -345,26 +324,25 @@ def integrate_pulse_grid(
     omega0: np.ndarray,
     duration: np.ndarray,
     rate: np.ndarray,
-    window_half_width: float,
-    config: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a batch of pulses sharing one shape and detuning model.
 
     ``omega0``, ``duration`` and ``rate`` (constant detuning or chirp rate,
     depending on ``model``) are flat arrays of equal length; sech pulses run
-    over ``window_half_width`` widths on each side of their centre; both of
-    the stepper's tolerances follow from ``config.rel_tol``.  Returns flat
-    arrays (a, b) of Cayley-Klein parameters, a boolean success mask and
-    the step attempts per pulse.  Zero-duration entries come back as the
+    over w = :data:`DEFAULT_WINDOW_HALF_WIDTH` widths on each side of their
+    centre, at :data:`REL_TOL` and :data:`MAX_STEPS`.  Returns flat arrays
+    (a, b) of Cayley-Klein parameters, NaN in both at every point that
+    overflowed, ran out of steps or missed the unitarity bound, with no
+    numpy warning on the way.  Zero-duration entries come back as the
     identity.  The detuning phase counts from t = 0, so the window sets
     only where integration stops.  A tanh chirp has H(-t) = H(t), so only
-    [0, w*T] is integrated, w = ``window_half_width``, and that half's
-    (a_h, b_h) give the pulse as a = |a_h|^2 - |b_h|^2, b = 2 a_h b_h (see
-    the module docstring); its steps are the half's and its unitarity
-    defect the whole pulse's.  A rectangular chirp has no such symmetry and
-    is refused.  Pulses with a constant detuning normally take their closed
-    form (see :func:`constituent_grid`); they are integrated here only to
-    check the integrator against that form, and that form against it.
+    [0, w*T] is integrated, and that half's (a_h, b_h) give the pulse as
+    a = |a_h|^2 - |b_h|^2, b = 2 a_h b_h (see the module docstring); its
+    steps are the half's and its unitarity defect the whole pulse's.  A
+    rectangular chirp has no such symmetry and is refused.  Pulses with a
+    constant detuning normally take their closed form (see
+    :func:`constituent_grid`); they are integrated here only to check the
+    integrator against that form, and that form against it.
     """
     if shape == "rectangular" and model == "tanh_chirp":
         raise ValueError("rectangular pulses take a constant detuning, not a chirp")
@@ -377,7 +355,7 @@ def integrate_pulse_grid(
         t_start = np.zeros(m)
         t_end = duration.copy()
     else:
-        t_end = window_half_width * duration
+        t_end = DEFAULT_WINDOW_HALF_WIDTH * duration
         # the chirp's D(t) is even in t like the envelope, so only [0, t_end]
         t_start = -t_end if model == "constant" else np.zeros(m)
     # per-system constants, hoisted out of the right-hand side; width enters
@@ -407,17 +385,17 @@ def integrate_pulse_grid(
 
     y0 = np.zeros((m, 2), dtype=np.complex128)
     y0[:, 0] = 1.0
-    result = integrator.solve_batch(
-        rhs, t_start, t_end, y0, per_system,
-        0.1 * config.rel_tol, 0.001 * config.rel_tol, config.max_steps,
-    )
-    a = result.y[:, 0]
-    b = -np.conj(result.y[:, 1])
-    if model == "tanh_chirp":  # U = U(wT, 0) (sigma_x U(wT, 0) sigma_x)^T
-        a, b = (np.abs(a) ** 2 - np.abs(b) ** 2).astype(complex), 2.0 * a * b
-    defect = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)
-    ok = result.success & (defect <= 10.0 * config.rel_tol)
-    return a, b, ok, result.n_steps
+    # a point that overflows or stalls comes back NaN, the one failure channel
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = integrator.solve_batch(rhs, t_start, t_end, y0, per_system,
+                                        0.1 * REL_TOL, 0.001 * REL_TOL, MAX_STEPS)
+        a = result.y[:, 0]
+        b = -np.conj(result.y[:, 1])
+        if model == "tanh_chirp":  # U = U(wT, 0) (sigma_x U(wT, 0) sigma_x)^T
+            a, b = (np.abs(a) ** 2 - np.abs(b) ** 2).astype(complex), 2.0 * a * b
+        defect = np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)
+        ok = result.success & (defect <= 10.0 * REL_TOL)
+        return np.where(ok, a, np.nan), np.where(ok, b, np.nan)
 
 
 @contextlib.contextmanager
@@ -455,18 +433,17 @@ def constituent_grid(
     form, elementwise and in the shape of the inputs, scalars included:
     rectangular pulses the Rabi form of :func:`rect_propagator_grid`, sech
     pulses the Rosen-Zener form of :func:`_rosen_zener_grid`.  Tanh-chirped
-    pulses are integrated by :func:`integrate_pulse_grid` at
-    :data:`DEFAULT_CONFIG` over the window of
-    :data:`DEFAULT_WINDOW_HALF_WIDTH`, in one call on the grid given (a
-    scan's block bounds it, for every route); that returns flat arrays, one
-    point for scalar inputs.  Every point has its own step control, so the
-    bits of a point do not depend on the batch it is integrated in.
+    pulses are integrated by :func:`integrate_pulse_grid`, in one call on
+    the grid given (a scan's block bounds it, for every route); that returns
+    flat arrays, one point for scalar inputs.  Every point has its own step
+    control, so the bits of a point do not depend on the batch it is
+    integrated in.
 
-    Arguments are as for :func:`integrate_pulse_grid`, without the window
-    and the config.  A point whose integration missed its contract, or whose
-    Rosen-Zener phase cannot be resolved to that contract, is NaN in both a
-    and b, and numpy does not warn on the way.  Inside a :func:`grid_reuse`
-    scope an integrated grid seen before is not integrated again.
+    Arguments are as for :func:`integrate_pulse_grid`.  A point whose
+    integration missed its contract, or whose Rosen-Zener phase cannot be
+    resolved to that contract, is NaN in both a and b, and numpy does not
+    warn on the way.  Inside a :func:`grid_reuse` scope an integrated grid
+    seen before is not integrated again.
     """
     if model == "constant":
         if shape == "rectangular":
@@ -482,11 +459,7 @@ def constituent_grid(
         if key in reused:
             return reused[key]
 
-    # a point that overflows or stalls comes back NaN, the one failure channel
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b, ok, _ = integrate_pulse_grid(shape, model, omega0, duration, rate,
-                                           DEFAULT_WINDOW_HALF_WIDTH, DEFAULT_CONFIG)
-        a, b = np.where(ok, a, np.nan), np.where(ok, b, np.nan)
+    a, b = integrate_pulse_grid(shape, model, omega0, duration, rate)
     if reused is not None:
         for arr in (a, b):
             arr.flags.writeable = False
@@ -517,5 +490,5 @@ def constituent_propagator(spec: PulseSpec) -> Propagator:
     if not (cmath.isfinite(prop.a) and cmath.isfinite(prop.b)):
         raise IntegrationError(
             f"pulse propagator failed: {spec} overflowed or missed the "
-            f"accuracy contract (rel_tol {DEFAULT_CONFIG.rel_tol:g})")
+            f"accuracy contract (rel_tol {REL_TOL:g})")
     return prop

@@ -140,15 +140,33 @@ class SweepAxis:
         return np.geomspace(self.start, self.stop, self.samples)
 
 
+def _check_axes(axes: tuple[SweepAxis, ...]) -> None:
+    """Raise ValueError unless the axes can span a scan, whatever its pulse."""
+    if not 1 <= len(axes) <= 2:
+        raise ValueError(f"a scan has one or two axes, not {len(axes)}")
+    names = [ax.parameter for ax in axes]
+    if len(set(names)) != len(names):
+        raise ValueError("scan axes must address distinct parameters")
+    points = math.prod(ax.samples for ax in axes)
+    if points > _MAX_SAMPLES:
+        raise ValueError(f"a scan holds at most {_MAX_SAMPLES} points, "
+                         f"this one {points}")
+
+
 @dataclass(frozen=True)
 class ScanResult:
-    """Sampled infidelity grid over one or two axes."""
+    """Sampled infidelity grid over one or two axes.
+
+    The axes address distinct parameters and span at most 10,000,000 points,
+    and ``values`` has their shape (ValueError otherwise).
+    """
 
     axes: tuple[SweepAxis, ...]
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_axes(self.axes)
         expected = tuple(ax.samples for ax in self.axes)
         if self.values.shape != expected:
             raise ValueError(
@@ -211,15 +229,10 @@ def _run_scan(
     seq: PhaseGateSequence,
     template: PulseSpec,
 ) -> ScanResult:
-    points = math.prod(ax.samples for ax in axes)
-    if points > _MAX_SAMPLES:
-        raise ValueError(f"a scan holds at most {_MAX_SAMPLES} points, "
-                         f"this one {points}")
+    _check_axes(axes)
     if template.duration <= 0:
         raise ValueError("scan templates need a positive duration")
     names = [ax.parameter for ax in axes]
-    if len(set(names)) != len(names):
-        raise ValueError("scan axes must address distinct parameters")
     if {"pulse_area_fraction", "peak_rabi_times_T"} <= set(names):
         raise ValueError(
             "pulse_area_fraction and peak_rabi_times_T both control the "
@@ -231,6 +244,7 @@ def _run_scan(
         raise ValueError("only a detuning_times_T axis may start below 0")
     grids = [ax.grid() for ax in axes]
     shape = tuple(g.size for g in grids)
+    points = math.prod(shape)
     # overflow and NaN surface as non-finite points, which _check_points
     # reports as a ScanError, so numpy need not warn about them on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -721,8 +735,9 @@ def read_scan_csv(path) -> ScanResult:
     1e-33 to below 1e34, and by numpy's cast elsewhere or within 2**-30 of a
     gap from a rounding tie.  A file with another number of rows or fields
     than its axes call for, a row whose coordinates are not
-    ``float("%.11e" % g)`` of its grid point or a malformed axis line raises
-    ValueError that names the file, and the missing key or the line.
+    ``float("%.11e" % g)`` of its grid point, a malformed axis line or axes
+    that no scan has (see :class:`ScanResult`) raise ValueError that names
+    the file, and the missing key or the line.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -754,6 +769,10 @@ def read_scan_csv(path) -> ScanResult:
         header.detach()
         if not axes:
             raise ValueError(f"{path} carries no axis header")
+        try:  # before the values are allocated
+            _check_axes(tuple(axes))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         shape = tuple(ax.samples for ax in axes)
         size, width = math.prod(shape), len(axes) + 1
         if data is None:  # numpy would warn first, and report one field

@@ -68,7 +68,8 @@ class TargetGate:
     """Ideal phase gate diag(e^{i*phase/2}, e^{-i*phase/2}).
 
     ``gate_phase`` is the relative phase (radians) imposed between the two
-    qubit amplitudes.  The matrix has determinant one exactly.
+    qubit amplitudes.  Only the phase is kept; :func:`infidelity` measures a
+    gate against it.
     """
 
     gate_phase: float

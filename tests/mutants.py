@@ -51,10 +51,25 @@ MUTANTS = (
     Mutant("the chirp's detuning phase counted from the window start -wT",
            "pulses.py",
            "phase = phase_rate * _log_cosh(t * inv_w)\n",
-           "phase = phase_rate * (_log_cosh(t * inv_w) - _log_cosh(window_half_width))\n",
+           "phase = phase_rate * (_log_cosh(t * inv_w) - _log_cosh(DEFAULT_WINDOW_HALF_WIDTH))\n",
            ("tests/test_pulses.py::TestIntegratedSech::test_chirp_matches_demkov_kunike",
             "tests/test_pulses.py::TestIntegratedSech::test_window_truncation_converged",
             "tests/test_pulses.py::TestIntegratorContract::test_matches_scipy_on_random_pulses")),
+    Mutant("the integrator's step budget fixed, ignoring MAX_STEPS",
+           "pulses.py",
+           "0.1 * REL_TOL, 0.001 * REL_TOL, MAX_STEPS)",
+           "0.1 * REL_TOL, 0.001 * REL_TOL, 100_000)",
+           ("tests/test_pulses.py::TestIntegratorContract::test_step_budget_exhaustion_raises",
+            "tests/test_pulses.py::test_failed_grid_points_come_back_as_nan",
+            "tests/test_scan.py::TestScan1D::test_integration_failure_carries_coordinates")),
+    Mutant("a failed integrated point returned unmasked",
+           "pulses.py",
+           "ok = result.success & (defect <= 10.0 * REL_TOL)",
+           "ok = True",
+           ("tests/test_pulses.py::TestIntegratorContract::test_step_budget_exhaustion_raises",
+            "tests/test_pulses.py::test_failed_grid_points_come_back_as_nan",
+            "tests/test_pulses.py::TestConstituentDispatch::test_failed_pulse_raises_quietly[4-1.0]",
+            "tests/test_scan.py::TestScan1D::test_every_failing_map_point_comes_back")),
     Mutant("the mirrored chirp composed as b = 2 a_h conj(b_h)",
            "pulses.py",
            "2.0 * a * b\n",
@@ -79,7 +94,7 @@ MUTANTS = (
            ("tests/test_scan.py::TestFormatter::test_matches_python_on_the_guard_band_and_edges",)),
     Mutant("the Rosen-Zener phase's resolution bound removed",
            "pulses.py",
-           "ok = (unresolved <= DEFAULT_CONFIG.rel_tol) & np.isfinite(a)",
+           "ok = (unresolved <= REL_TOL) & np.isfinite(a)",
            "ok = np.isfinite(a)",
            ("tests/test_rosen_zener.py::test_large_arguments_are_right_or_nan",
             "tests/test_cli.py::TestFidelityCommand::test_large_sech_pulses_are_right_or_fail")),
@@ -174,7 +189,8 @@ MUTANTS = (
            "return ga, d.conjugate()",
            ("tests/test_acceptance.py::test_criterion_9_sequence_product_oracle",
             "tests/test_su2.py::TestCompose::test_relative_phase_identity",
-            "tests/test_su2.py::TestFold::test_python_floats_and_zero_d_arrays")),
+            "tests/test_su2.py::TestFold::test_python_floats_and_zero_d_arrays",
+            "tests/test_properties.py::test_fold_of_random_phases_matches_the_brute_force_chain")),
     Mutant("the fold's conj(a) taken as a",
            "su2.py",
            "ca, cb = a.conjugate(), b.conjugate()",

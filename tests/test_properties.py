@@ -81,6 +81,21 @@ def matrix_chain(phases, a, b):
 
 
 @deterministic
+@given(unit_pairs, st.lists(angle, max_size=12), st.floats(0.1, 2.0 * PI - 0.1))
+def test_fold_of_random_phases_matches_the_brute_force_chain(drawn, phases, last):
+    # every shipped sequence ends on phase 0; here the last phase is not, so
+    # the fold's closing turn by e^{-i phase_{n-1}} shows
+    a, b = pairs(drawn)
+    phases = [*phases, last]
+    want = matrix_chain(phases, a, b)
+    for got, ref in zip(fold(phases, a, b), want):
+        assert np.all(np.abs(got - ref) <= 1e-14)
+    for i in range(a.size):
+        for got, ref in zip(fold(phases, complex(a[i]), complex(b[i])), want):
+            assert abs(got - ref[i]) <= 1e-14
+
+
+@deterministic
 @given(unit_pairs, st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)), gate_phases)
 def test_gate_closure_matches_the_brute_force_chain(drawn, scales, phase):
     # unit pairs, and pairs scaled off unitarity: the closure is exact algebra

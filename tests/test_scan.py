@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from cpgates import pulses, scan
 from cpgates.presets import preset_jobs
-from cpgates.pulses import IntegratorConfig, PulseSpec
+from cpgates.pulses import PulseSpec
 from cpgates.scan import (
     ScanError,
     ScanResult,
@@ -142,7 +142,7 @@ class TestScan1D:
 
     def test_integration_failure_carries_coordinates(self, monkeypatch):
         # four steps cannot cross a sech window, so every point fails
-        monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
+        monkeypatch.setattr(pulses, "MAX_STEPS", 4)
         axis = SweepAxis("peak_rabi_times_T", 0.5, 8.0, 7)
         t = PulseSpec.sech(1.0, chirp_rate=1.0)
         with pytest.raises(ScanError) as err:
@@ -155,7 +155,7 @@ class TestScan1D:
 
     def test_every_failing_map_point_comes_back(self, monkeypatch):
         # 2 x 6 failing points of a chirped sech map, listed row-major as (x, y)
-        monkeypatch.setattr(pulses, "DEFAULT_CONFIG", IntegratorConfig(max_steps=4))
+        monkeypatch.setattr(pulses, "MAX_STEPS", 4)
         ax = SweepAxis("duration_fraction", 0.5, 1.5, 2)
         ay = SweepAxis("peak_rabi_times_T", 0.5, 3.0, 6)
         with pytest.raises(ScanError) as err:
@@ -398,8 +398,9 @@ class TestBandwidth:
         assert high_fidelity_bandwidth(res, 0.5) == pytest.approx(3.0 / 8.0)
 
     def test_rejects_2d(self):
-        axis = SweepAxis("duration_fraction", 0.0, 1.0, 2)
-        res = ScanResult(axes=(axis, axis), values=np.zeros((2, 2)))
+        ax = SweepAxis("duration_fraction", 0.0, 1.0, 2)
+        ay = SweepAxis("detuning_times_T", 0.0, 1.0, 2)
+        res = ScanResult(axes=(ax, ay), values=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="1D"):
             high_fidelity_bandwidth(res, 0.5)
 
@@ -517,6 +518,24 @@ class TestCsvContract:
             read_scan_csv(path)
         path.write_text("".join(header) + "\n\n")  # blank lines are no rows either
         with pytest.raises(ValueError, match="found 0 rows$"):
+            read_scan_csv(path)
+
+    @pytest.mark.parametrize("change, message", [
+        # a repeated parameter
+        (lambda text: text.replace("=detuning_times_T", "=duration_fraction"),
+         "scan axes must address distinct parameters"),
+        # a third axis over the file's 3-field rows
+        (lambda text: re.sub(r"# axis1: .*\n", lambda m: m[0] + m[0].replace(
+            "axis1", "axis2").replace("detuning_times_T", "peak_rabi_times_T"), text),
+         "a scan has one or two axes, not 3"),
+        # 10**14 points, which numpy was once asked to allocate
+        (lambda text: re.sub(r"samples=\d+", "samples=10000000", text),
+         "a scan holds at most 10000000 points, this one 100000000000000"),
+    ], ids=["repeated", "three-axes", "too-many-points"])
+    def test_axes_of_no_scan_name_the_file(self, tmp_path, change, message):
+        path, header, rows = self._map_file(tmp_path)
+        path.write_text(change("".join(header)) + "".join(rows))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             read_scan_csv(path)
 
     @pytest.mark.parametrize("key", ["parameter", "spacing", "start", "stop", "samples"])
@@ -1003,7 +1022,8 @@ class TestBlockWriter:
 
     @pytest.mark.parametrize("value", [1e-120, -0.5])
     def test_a_value_off_the_layout_writes_pythons_text(self, tmp_path, monkeypatch, value):
-        axes = (SweepAxis("detuning_times_T", -1.0, 1.0, 3), SweepAxis(*SIGNED, 9000))
+        # a signed outer axis; a result's axes address distinct parameters
+        axes = (SweepAxis("duration_fraction", -1.0, 1.0, 3), SweepAxis(*SIGNED, 9000))
         values = 10.0 ** np.random.default_rng(25).uniform(-99.0, 99.99, (3, 9000))
         values[1, 100] = value  # in the third of six blocks
         result = ScanResult(axes=axes, values=values)
@@ -1084,6 +1104,20 @@ def test_scan_result_shape_validation():
     axis = SweepAxis("pulse_area_fraction", 0.0, 1.0, 4)
     with pytest.raises(ValueError, match="shape"):
         ScanResult(axes=(axis,), values=np.zeros(5))
+
+
+@pytest.mark.parametrize("names, samples, message", [
+    (("duration_fraction", "detuning_times_T", "pulse_area_fraction"), (2, 3, 4),
+     "one or two axes, not 3"),  # once written as 8 rows of 3 fields
+    ((), (), "one or two axes, not 0"),
+    (("duration_fraction", "duration_fraction"), (2, 3), "distinct parameters"),
+    (("duration_fraction", "detuning_times_T"), (3163, 3163),
+     "at most 10000000 points, this one 10004569"),
+], ids=["three-axes", "no-axis", "repeated", "too-many-points"])
+def test_scan_result_takes_only_the_axes_of_a_scan(names, samples, message):
+    axes = tuple(SweepAxis(name, 0.5, 1.5, n) for name, n in zip(names, samples))
+    with pytest.raises(ValueError, match=message):
+        ScanResult(axes=axes, values=np.broadcast_to(0.0, samples))
 
 
 def test_grid_infidelity_matches_literal_definition():

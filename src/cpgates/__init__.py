@@ -34,6 +34,7 @@ from .sequences import (
     detuning_phases,
     gate_propagator,
     make_phase_gate_sequence,
+    sequence_infidelity,
     sequence_table,
     universal_phases,
 )

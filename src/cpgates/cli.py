@@ -5,8 +5,9 @@ All angles on the command line are given in units of pi (so ``--phase-pi
 transcendentals.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 3 numerical failure.
 
-``fidelity`` runs the same propagator, fold and infidelity kernels as
-``scan`` and ``preset``, on one point.  Pulses with a constant detuning take
+``fidelity`` runs the same propagator kernels and the same route to the
+infidelity (:func:`cpgates.sequences.sequence_infidelity`) as ``scan`` and
+``preset``, on one point.  Pulses with a constant detuning take
 a closed form (Rabi for rect, Rosen-Zener for sech); only tanh-chirped sech
 pulses are integrated.  ``preset`` runs its jobs inside one
 :func:`cpgates.pulses.grid_reuse` scope, so jobs that share a constituent grid
@@ -46,11 +47,10 @@ from .scan import (
 )
 from .sequences import (
     composite_phases,
-    gate_propagator,
     make_phase_gate_sequence,
+    sequence_infidelity,
     sequence_table,
 )
-from .su2 import TargetGate, infidelity
 
 _EXIT_OK = 0
 _EXIT_IO = 1
@@ -126,7 +126,7 @@ def _cmd_fidelity(args) -> int:
     cp = composite_phases(args.family, args.variant)
     seq = make_phase_gate_sequence(cp, args.phase_pi * math.pi)
     pulse = constituent_propagator(_build_pulse(args, cp.nominal_per_pulse_area))
-    value = infidelity(gate_propagator(seq, pulse), TargetGate(seq.gate_phase))
+    value = sequence_infidelity(seq, pulse.a, pulse.b)
     print(f"{value:.11e}")
     return _EXIT_OK
 

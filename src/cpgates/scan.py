@@ -2,13 +2,14 @@
 
 A scan walks its flat grid in blocks of 8,192 points.  Each block takes its
 pulse parameters from the axis grids at its flat indices and goes through
-:func:`cpgates.pulses.constituent_grid`, :func:`cpgates.su2.fold` of the
-composite pulse, :func:`cpgates.su2.phase_gate` and the infidelity: the same
-kernels a single point query runs.  A scan holds its values, its axes and
-one block, whose arrays stay in cache; under tracemalloc a 400x400 map of a
-50-pulse gate peaks at 2.4x its values.  Grid points are
-pure function evaluations and every block takes the same numpy loops, so a
-point's bits depend neither on the run nor on the size of its scan.  A scan
+:func:`cpgates.pulses.constituent_grid` and
+:func:`cpgates.sequences.sequence_infidelity`, which takes each point to the
+closed form or to the fold and its closure: the same kernels a single point
+query runs.  A scan holds its values, its axes and one block, whose arrays
+stay in cache; under tracemalloc a 400x400 map of a 50-pulse gate peaks at
+2.2x its values in closed form, 2.4x folded.  Grid points are pure function
+evaluations and every block takes the same numpy loops, so a point's bits
+depend neither on the run nor on the size of its scan.  A scan
 holds at most 10,000,000 points in all, checked before any grid is built.
 How accurately pulses are computed is the pulse layer's business: a point
 that missed its accuracy contract arrives as NaN, so a scan fails with
@@ -38,15 +39,19 @@ exponent digit), so the template is a few rectangles, each holding lines of
 one length: rows whose outer coordinate has one layout times columns whose
 inner coordinate has one.  The writer spells a block's values once into a
 contiguous scratch and copies them into each rectangle's value fields; a
-block with a value off that layout (a sign, three exponent digits, NaN or
-inf) comes out as Python's "%.11e" of each point.  The reader checks each
+value with three exponent digits (below 1e-99, or from 1e100) keeps its
+first 17 bytes there, and its line gets the third digit spliced in before
+its "\n".  A block with a sign, NaN or inf comes out as Python's "%.11e" of
+each point.  The reader finds a block's few longer lines from where its
+line ends fall, takes their 18-byte fields out of line, checks each
 rectangle against the template in one range compare and parses each value
 from its 12 digits M and exponent e: one multiply or divide by an exact
-power of ten where |e - 11| <= 22 (Clinger), Dekker's exact remainders to
-correct two roundings where -33 <= e <= -12, numpy's cast elsewhere and
-within 2**-30 ulp of a rounding tie.  A block off the template (a comment, a
-CRLF, a value off the layout) sends the rest of the file to numpy.loadtxt,
-checked against each block's span of the axes.  Both give float() of a field.
+power of ten where |e - 11| <= 22 (Clinger), a double-double power of ten
+and Dekker's exact product error for every other two-digit exponent, and
+numpy's cast for three exponent digits and within 2**-30 ulp of a rounding
+tie.  A block off the template (a comment, a CRLF, a sign) sends the rest of
+the file to numpy.loadtxt, checked against each block's span of the axes.
+Both give float() of a field.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ import numpy as np
 
 from . import pulses
 from .pulses import PulseSpec, constituent_grid
-from .sequences import CompositePhases, PhaseGateSequence
-from .su2 import fold, gate_infidelity, phase_gate
+from .sequences import CompositePhases, PhaseGateSequence, sequence_infidelity
+from .su2 import fold
 
 __all__ = [
     "SweepAxis",
@@ -253,8 +258,7 @@ def _run_scan(
             at = np.unravel_index(np.arange(lo, min(lo + _BLOCK, points)), shape)
             params = _apply_axes(template, axes, [g[i] for g, i in zip(grids, at)])
             a, b = constituent_grid(template.shape, template.model, *params)
-            gate = phase_gate(*fold(seq.source.phases, a, b), seq.gate_phase)
-            values[lo:lo + _BLOCK] = gate_infidelity(*gate, seq.gate_phase)
+            values[lo:lo + _BLOCK] = sequence_infidelity(seq, a, b)
     _check_points(values, grids)
     return ScanResult(
         axes=axes,
@@ -302,7 +306,7 @@ def error_order(
     surviving-amplitude modulus |a| for a bare :class:`CompositePhases`.
     The pulses take the same route as scans, the closed form for detuned as
     well as resonant rectangular pulses, so the samples carry rounding error
-    only and no integration error.
+    only and no integration error; gates take ``sequence_infidelity``.
 
     ``perturbation`` is one of:
 
@@ -338,11 +342,10 @@ def error_order(
 
     # duration 1, so the peak Rabi frequency equals the area
     a, b = constituent_grid("rectangular", "constant", area, np.ones_like(eps), delta_t)
-    ga, gb = fold(cp.phases, a, b)
     if isinstance(seq, PhaseGateSequence):
-        metric = gate_infidelity(*phase_gate(ga, gb, seq.gate_phase), seq.gate_phase)
+        metric = sequence_infidelity(seq, a, b)
     else:
-        metric = np.abs(ga)
+        metric = np.abs(fold(cp.phases, a, b)[0])
     _check_points(metric, (eps,))
 
     usable = metric > _NOISE_FLOOR
@@ -387,7 +390,7 @@ _POW10 = np.array([float(f"1e{k}") for k in range(-88, 111)])
 _DIGIT_COLUMNS = ((6, 5, 4, 3, 2, 0), (12, 11, 10, 9, 8, 7))
 
 
-def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarray | None:
+def _format_e11(values: np.ndarray, text: np.ndarray | None = None):
     """``b"%.11e" % v`` of every value, one row of 19 ASCII codes each.
 
     Column 0 holds "-" or NUL, so a text's first digit sits at column 1,
@@ -402,9 +405,9 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarra
     power of ten stay on the integer path.
 
     Given ``text``, codes of shape ``values.shape + (17,)`` such as the
-    writer's scratch for a block, it spells columns 1-17 there, or writes
-    nothing and returns None if a text has a sign, three exponent digits or
-    no digits.
+    writer's scratch for a block, it spells columns 1-17 there and returns
+    the rows whose texts have a third exponent digit and that digit's code,
+    or writes nothing and returns None if a text has a sign or no digits.
     """
     v = np.asarray(values, dtype=float)
     scaled = np.abs(v)  # |v|, scaled by 10**(11 - e) in place
@@ -424,16 +427,16 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarra
         slow |= e > 99
         # slow rows get Python's text at the end, whatever digits they got;
         # "% .11e" leaves a space where "-" would go: a NUL, as on the fast path
-        python = np.array([(b"% .11e" % x).replace(b" ", b"\0") for x in v[slow].tolist()],
-                          f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+        texts = np.array([(b"% .11e" % x).replace(b" ", b"\0") for x in v[slow].tolist()],
+                         f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
         if text is None:
             text = np.zeros((*v.shape, _FIELD), np.uint8)
             text[..., 0] = np.signbit(v) * ord("-")
-            codes = text[..., 1:]
-        elif np.signbit(v).any() or (python[:, [0, -1]].any() or not python[:, -2].all()):
-            return None  # a canonical text has column 17, but neither 0 nor 18
+            codes, python = text[..., 1:], texts
+        elif np.signbit(v).any() or not texts[:, -2].all():
+            return None  # a sign, or no digit in column 17: NaN or inf
         else:
-            codes, python = text, python[:, 1:-1]
+            codes, python = text, texts[:, 1:-1]
         codes[..., 1] = ord(".")
         codes[..., 13] = ord("e")
         codes[..., 14] = np.where(e < 0, ord("-"), ord("+"))
@@ -450,7 +453,10 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None) -> np.ndarra
                 codes[..., column] = rest - 10 * quotient + ord("0")
                 rest = quotient
         text[slow] = python
-    return text
+    if python is texts:
+        return text
+    third = texts[:, -1] != 0
+    return np.flatnonzero(slow)[third], texts[third, -1]
 
 
 # "%.11e" of 0 <= v < 1e100 takes 17 bytes, d.ddddddddddde+dd or -dd; per
@@ -461,6 +467,7 @@ _LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
 _SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
 _VALUE = slice(-_CANONICAL - 1, -1)  # a line's value field, before its "\n"
 _PIECE = 4096  # lines per step of the reader's byte check: bounds its temporaries
+_SLACK = 256  # lines with three exponent digits a block may hold and be read as bytes
 
 
 def _runs(codes: np.ndarray) -> list[tuple[slice, slice]]:
@@ -501,6 +508,14 @@ def _rectangle(lines: np.ndarray, rect: tuple) -> np.ndarray:
     rows, columns, offset, stride, width = rect[:5]
     return np.ndarray((rows.stop - rows.start, columns.stop - columns.start, width),
                       np.uint8, lines, offset, (stride, width, 1))
+
+
+def _line_ends(rects: list, shape: tuple[int, int]) -> np.ndarray:
+    """The offset of each line's "\n" in a block's lines of (rows, columns)."""
+    widths = np.empty(shape, np.intp)
+    for rect in rects:
+        widths[rect[0], rect[1]] = rect[4]
+    return np.cumsum(widths.ravel()) - 1
 
 
 def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple]:
@@ -567,8 +582,10 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
     A block's values are spelled once into a contiguous scratch of 17 codes
     each, then copied into the value fields of each rectangle of its lines
     (:func:`_blocks`), which come out as they stand.  A block with a value
-    off that layout (a sign, three exponent digits, NaN or inf) comes out
-    instead as Python's "%.11e" of each of its points.
+    off that layout (a sign, NaN or inf) comes out instead as Python's
+    "%.11e" of each of its points.  A value with three exponent digits
+    leaves its first 17 bytes in the template, and the block comes out in
+    pieces with its third digit between them, before the line's "\n".
     """
     header = ["# cpgates-scan\n"]
     for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
@@ -592,14 +609,20 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
         block = values[start:start + math.prod(shape)]
         if scratch is None:  # for the first block, the largest
             scratch = np.empty((block.size, _CANONICAL), np.uint8)
-        if _format_e11(block, scratch[:block.size]) is None:  # a sign, 3 exponent digits, NaN
+        spelled = _format_e11(block, scratch[:block.size])
+        if spelled is None:  # a sign, NaN or inf
             points = itertools.product(*(g.tolist() for g in coordinates))
             yield b"".join(line % (*p, v) for p, v in zip(points, block.tolist()))
             continue
         digits = scratch[:block.size].reshape(*shape, _CANONICAL)
         for rect in rects:
             _rectangle(lines, rect)[..., _VALUE] = digits[rect[0], rect[1]]
-        yield lines.data
+        long, digit = spelled  # a third exponent digit goes before its line's "\n"
+        ends = [0, *(_line_ends(rects, shape)[long].tolist() if long.size else [])]
+        for lo, hi, code in zip(ends, ends[1:], digit.tolist()):
+            yield lines.data[lo:hi]
+            yield bytes((code,))
+        yield lines.data[ends[-1]:]
 
 
 def write_scan_csv(result: ScanResult, stream: IO[str],
@@ -623,11 +646,24 @@ def save_scan_csv(result: ScanResult, path, extra_header: dict | None = None) ->
 
 
 # by e + 99, a field's 12 digits as an integer M times _TIMES over _OVER round
-# once to M * 10**(e - 11) where |e - 11| <= 22, and to M / 1e22 below that
+# once to M * 10**j, j = e - 11, where |j| <= 22, and stay M elsewhere
 _CLINGER = 22  # 10**k is a double for k <= 22
 _EXACT = np.array([float(10 ** k) for k in range(_CLINGER + 1)])
 _J = np.arange(-110, 89)
-_TIMES, _OVER = _EXACT[np.clip(_J, 0, _CLINGER)], _EXACT[np.clip(-_J, 0, _CLINGER)]
+_TIMES, _OVER = (_EXACT[np.where(np.abs(_J) <= _CLINGER, np.maximum(sign * _J, 0), 0)]
+                 for sign in (1, -1))
+
+
+def _ten_to(j: int) -> tuple[float, float]:
+    """10**j as hi + lo, each a correctly rounded double, from integers alone."""
+    num, den = (10 ** j, 1) if j >= 0 else (1, 10 ** -j)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+# by e + 99, 10**(e - 11) as a double-double
+_HI, _LO = np.array([_ten_to(j) for j in _J.tolist()]).T
 
 
 def _product_error(a, b):
@@ -677,15 +713,13 @@ def _parse(value: np.ndarray, values: np.ndarray) -> None:
     A value is M * 10**j: M, its 12 digits, is summed column by column in
     ``values`` (exact, as M < 2**53), and j = e - 11.  Where |j| <= 22,
     one multiply or divide by the exact 10**|j| rounds correctly (Clinger).
-    Where -44 <= j <= -23, q = M / 1e22 / 10**(-j - 22) rounds twice, and
-    Dekker's two-products give both remainders exactly: q moves to its
-    neighbour on the quotient's side if the quotient lies past one half of
-    the gap between them, a distance known within 1e-15 of the gap.  q lies
-    within 1.5 gaps of the quotient, so the neighbour is nearest also where
-    the quotient lies past it, unless it were a power of two below q, where
-    gaps halve; no such field lies within 67 gaps of a power of two.  numpy's
-    bytes-to-float cast, which rounds correctly, reads other j and a distance
-    within 2**-30 of one half.  So every value is ``float`` of its field.
+    Elsewhere, -110 <= j <= 88, 10**j = hi + lo as a double-double: with
+    q = M * hi and r its exact error (Dekker's two-product) plus M * lo,
+    q + r is M * 10**j within 2**-100 of itself.  v = q + r rounds it once,
+    and the exact remainder of that sum (Fast2Sum) says how far v lies from
+    a rounding tie.  numpy's bytes-to-float cast, which rounds correctly,
+    reads a value within 2**-30 of a gap from a tie.  So every value is
+    ``float`` of its field.
     """
     values[:] = value[:, 0]
     for column in range(2, 13):
@@ -695,22 +729,54 @@ def _parse(value: np.ndarray, values: np.ndarray) -> None:
     e *= 1 - value[:, 14].astype(np.int16)  # "+" is 0 and "-" 2
     values *= _TIMES[e + 99]
     values /= _OVER[e + 99]
-    slow = [np.flatnonzero((e < -33) | (e > 11 + _CLINGER))]
-    twice = np.flatnonzero((e >= -33) & (e < 11 - _CLINGER))
-    for at in np.split(twice, range(1024, twice.size, 1024)):  # pieces bound the memory
-        q1 = values[at]  # M / 1e22
-        m = np.rint(q1 * _EXACT[-1])  # M: q1 * 1e22 lies within 3e-4 of it
-        r1 = (m - q1 * _EXACT[-1]) - _product_error(q1, _EXACT[-1])
-        scale = _EXACT[11 - _CLINGER - e[at]]
-        q = q1 / scale
-        r2 = (q1 - q * scale) - _product_error(q, scale)
-        s = r2 + r1 / _EXACT[-1]  # (M * 10**j - q) * scale
-        near = np.nextafter(q, np.where(s < 0, 0.0, np.inf))
-        past = s / ((near - q) * scale)
-        values[at] = np.where(past > 0.5, near, q)
-        slow.append(at[np.abs(past - 0.5) < 2.0 ** -30])
+    wide = np.flatnonzero(np.abs(e - 11) > _CLINGER)
+    slow = [wide[:0]]
+    for at in np.split(wide, range(1024, wide.size, 1024)):  # pieces bound the memory
+        m, hi = values[at], _HI[e[at] + 99]
+        q = m * hi
+        r = _product_error(m, hi) + m * _LO[e[at] + 99]
+        values[at] = v = q + r
+        t = r - (v - q)  # M * 10**j - v
+        near = np.nextafter(v, np.where(t < 0, -np.inf, np.inf))
+        slow.append(at[np.abs(t / (near - v)) > 0.5 - 2.0 ** -30])
     slow = np.concatenate(slow)
     values[slow] = (value[slow] + _LOWEST).view(f"S{_CANONICAL}")[:, 0]
+
+
+def _long_lines(fh: IO[bytes], raw: np.ndarray, ends: np.ndarray) -> tuple | None:
+    """Take a block's lines with three exponent digits out of line, in place.
+
+    ``raw`` holds a block read to its template's size, ``ends[-1] + 1``, and
+    ``ends`` its template's "\n" offsets.  A value with three exponent
+    digits makes its line one byte longer than the template's, and shifts
+    every later line by one: a line whose "\n" is not where the template and
+    the longer lines before it put it is one.  Reads at most 256 bytes more,
+    finds those lines, copies their 18-byte fields, removes each one's
+    hundreds digit, so that the block has its template's size again, and
+    leaves ``fh`` at the block's end.  Returns the lines and their fields,
+    or None where more than 256 such lines or the file's end lie beyond or a
+    byte taken out is not a digit.
+    """
+    size = int(ends[-1]) + 1
+    got = fh.readinto(raw[size:size + _SLACK])
+    raw[size + got:size + _SLACK] = 0  # no stale "\n"
+    long: list[int] = []
+    while len(long) <= got:
+        first = long[-1] + 1 if long else 0
+        off = raw[ends[first:] + len(long)] != ord("\n")
+        if not off.any():
+            break
+        long.append(first + int(off.argmax()))
+    if len(long) > got:
+        return None
+    last = ends[long] + np.arange(len(long))  # each field's last digit
+    fields = raw[last[:, None] + np.arange(-_CANONICAL, 1)]
+    if not (fields[:, -3] - ord("0") <= 9).all():  # in uint8
+        return None
+    for k, (lo, hi) in enumerate(zip(last - 2, [*(last[1:] - 2).tolist(), size + len(long)])):
+        raw[lo - k:hi - k - 1] = raw[lo + 1:hi]
+    fh.seek(len(long) - got, io.SEEK_CUR)
+    return np.array(long), fields
 
 
 def read_scan_csv(path) -> ScanResult:
@@ -726,18 +792,19 @@ def read_scan_csv(path) -> ScanResult:
     array.  A block is read as the bytes of its template's lines and taken as
     it stands if each of its rectangles matches the template in one range
     compare: coordinates and separators byte for byte, values in the
-    canonical layout (:func:`_canonical_rows`).  From the first block that
-    does not (a comment, a CRLF, a value with a sign or three exponent
-    digits, NaN or inf), and after the last expected row,
-    ``numpy.loadtxt`` parses the text 8,192 lines at a time, skipping blank
-    and comment lines; its errors name the file's data row.  Values are
-    ``float`` of each field either way: read from their digits, exactly from
-    1e-33 to below 1e34, and by numpy's cast elsewhere or within 2**-30 of a
-    gap from a rounding tie.  A file with another number of rows or fields
-    than its axes call for, a row whose coordinates are not
-    ``float("%.11e" % g)`` of its grid point, a malformed axis line or axes
-    that no scan has (see :class:`ScanResult`) raise ValueError that names
-    the file, and the missing key or the line.
+    canonical layout (:func:`_canonical_rows`).  A block whose last byte is
+    not a "\n" first has its lines with three exponent digits taken out of
+    line (:func:`_long_lines`), up to 256 of them.  From the first block that
+    does not match (a comment, a CRLF, a value with a sign, NaN or inf), and
+    after the last expected row, ``numpy.loadtxt`` parses the text 8,192
+    lines at a time, skipping blank and comment lines; its errors name the
+    file's data row.  Values are ``float`` of each field either way: read
+    from their digits, exactly from 1e-99 to below 1e100, and by numpy's cast
+    for three exponent digits or within 2**-30 of a gap from a rounding tie.
+    A file with another number of rows or fields than its axes call for, a
+    row whose coordinates are not ``float("%.11e" % g)`` of its grid point, a
+    malformed axis line or axes that no scan has (see :class:`ScanResult`)
+    raise ValueError that names the file, and the missing key or the line.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -784,13 +851,18 @@ def read_scan_csv(path) -> ScanResult:
         raw = None  # made for the largest block in bytes
         for start, coordinates, template, rects in _blocks(tuple(axes)):
             lines = (1, *map(len, coordinates))[-2:]  # rows and columns
-            if raw is None or raw.size < template.size:
-                raw = np.empty(template.size, np.uint8)
+            if raw is None or raw.size < template.size + _SLACK:
+                raw = np.empty(template.size + _SLACK, np.uint8)
             at, block, rows = fh.tell(), raw[:template.size], values[start:start + math.prod(lines)]
-            if (fh.readinto(block) != block.size
+            whole, long = fh.readinto(block) == block.size, ()
+            if whole and block[-1] != ord("\n"):  # a line longer than the template's
+                long = _long_lines(fh, raw, _line_ends(rects, lines))
+            if (not whole or long is None
                     or not _canonical_rows(block, template, rects, rows.reshape(lines))):
                 fh.seek(at)
                 break
+            if long:
+                rows[long[0]] = long[1].view(f"S{_CANONICAL + 1}")[:, 0]
             found = start + rows.size
         # the axes as the file holds them: whole up to a block's length, else by span
         grids = [ax.grid() for ax in axes] if found < size else []

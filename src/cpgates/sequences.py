@@ -23,7 +23,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .su2 import Propagator, phase_gate, sequence_propagator
+import numpy as np
+
+from .su2 import Propagator, fold, gate_infidelity, phase_gate, sequence_propagator
 
 __all__ = [
     "CompositePhases",
@@ -34,6 +36,7 @@ __all__ = [
     "composite_phases",
     "make_phase_gate_sequence",
     "gate_propagator",
+    "sequence_infidelity",
     "sequence_table",
     "MAX_BROADBAND_PULSES",
     "DETUNING_VARIANTS",
@@ -223,6 +226,23 @@ def gate_propagator(seq: PhaseGateSequence, pulse: Propagator) -> Propagator:
     """Total propagator of the gate: the CP's fold, closed by ``phase_gate``."""
     u = sequence_propagator(seq.source.phases, pulse)
     return Propagator(*phase_gate(u.a, u.b, seq.gate_phase))
+
+
+def sequence_infidelity(seq: PhaseGateSequence, a, b):
+    """Gate infidelity of ``seq`` on pulses (a, b), elementwise: the one route.
+
+    Over broadband phases a real a gives a real A, |A| = |a|**n, so there the
+    infidelity is exactly 2*sqrt(2)*|sin(phase/4)|*|a|**n.  Every other point
+    takes :func:`fold`, :func:`phase_gate` and :func:`gate_infidelity`.
+    """
+    cp, phase = seq.source, seq.gate_phase
+    real = cp.family == "broadband" and a.imag == 0
+    if not np.all(real):
+        value = gate_infidelity(*phase_gate(*fold(cp.phases, a, b), phase), phase)
+        if not np.any(real):
+            return value
+    closed = abs(a.real) ** cp.n_pulses * (2.0 * math.sqrt(2.0) * abs(math.sin(phase / 4.0)))
+    return closed if np.all(real) else np.where(real, closed, value)
 
 
 def _shipped() -> list[CompositePhases]:

@@ -104,10 +104,10 @@ MUTANTS = (
            "sin=math.cos, cos=math.sin",
            ("tests/test_pulses.py::TestResonantRect::test_pi_pulse_inverts",
             "tests/test_pulses.py::TestClosedFormRectangular::test_scalar_and_grid_paths_agree")),
-    Mutant("the value parse's one-ulp correction dropped",
+    Mutant("the low part of the parse's double-double power of ten dropped",
            "scan.py",
-           "values[at] = np.where(past > 0.5, near, q)",
-           "values[at] = q",
+           "r = _product_error(m, hi) + m * _LO[e[at] + 99]",
+           "r = _product_error(m, hi)",
            ("tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast",)),
     Mutant("Clinger's range widened to |j| = 23, where 10**23 is not a double",
            "scan.py",
@@ -135,8 +135,8 @@ MUTANTS = (
             "tests/test_scan.py::TestCsvContract::test_numpy_errors_name_the_file_row[inner1]")),
     Mutant("the byte path switched off",
            "scan.py",
-           "if (fh.readinto(block) != block.size\n",
-           "if (True\n",
+           "whole, long = fh.readinto(block) == block.size, ()",
+           "whole, long = False, ()",
            ("tests/test_scan.py::TestCsvContract::test_canonical_files_never_reach_loadtxt",
             "tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast")),
     Mutant("a value copied one byte off into the writer's template",
@@ -163,13 +163,13 @@ MUTANTS = (
            ("tests/test_scan.py::TestCsvContract::test_a_flipped_sign_leaves_the_byte_path",)),
     Mutant("the writer's canonical test ignoring a sign",
            "scan.py",
-           "elif np.signbit(v).any() or (",
-           "elif (",
+           "elif np.signbit(v).any() or not",
+           "elif not",
            ("tests/test_scan.py::TestBlockWriter::test_the_template_writes_the_padded_bytes[negative]",)),
-    Mutant("a field past the candidate's neighbour read as the candidate",
+    Mutant("the parse's exact product error dropped",
            "scan.py",
-           "values[at] = np.where(past > 0.5, near, q)",
-           "values[at] = np.where((past > 0.5) & (past < 1), near, q)",
+           "r = _product_error(m, hi) + m * _LO[e[at] + 99]",
+           "r = m * _LO[e[at] + 99]",
            ("tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast",)),
     Mutant("t conjugated in phase_gate",
            "su2.py",
@@ -197,6 +197,24 @@ MUTANTS = (
            "ca, cb = a, b.conjugate()",
            ("tests/test_properties.py::test_gate_closure_matches_the_brute_force_chain",
             "tests/test_properties.py::test_fold_stays_unitary")),
+    Mutant("the closed form's sin(phase/4) written as sin(phase/2)",
+           "sequences.py",
+           "abs(math.sin(phase / 4.0))",
+           "abs(math.sin(phase / 2.0))",
+           ("tests/test_sequences.py::TestSequenceInfidelity::test_closed_form_matches_the_brute_force_chain",
+            "tests/test_sequences.py::TestSequenceInfidelity::test_closed_form_is_exact_where_the_fold_is_noise",
+            "tests/test_acceptance.py::test_criterion_5_widths_match_the_closed_form")),
+    Mutant("the closed form taken for a complex a",
+           "sequences.py",
+           'real = cp.family == "broadband" and a.imag == 0',
+           'real = cp.family == "broadband"',
+           ("tests/test_sequences.py::TestSequenceInfidelity::test_other_points_take_the_fold_bit_for_bit",
+            "tests/test_scan.py::test_grid_infidelity_matches_literal_definition")),
+    Mutant("the reader ignoring an exponent's hundreds digit",
+           "scan.py",
+           'rows[long[0]] = long[1].view(f"S{_CANONICAL + 1}")[:, 0]',
+           "pass",
+           ("tests/test_scan.py::TestCsvContract::test_three_exponent_digits_read_as_bytes",)),
 )
 
 

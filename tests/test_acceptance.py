@@ -124,6 +124,23 @@ def test_criterion_5_area_robustness_grows_with_n():
     assert ok
 
 
+@pytest.mark.parametrize("n, closed", [(3, 0.05758), (5, 0.19944), (9, 0.46376)])
+def test_criterion_5_widths_match_the_closed_form(n, closed):
+    """Criterion 5's widths lie within one grid step of the closed form's.
+
+    On resonant rect pulses F = 2 sqrt(2) |sin(phi/4)| |cos(pi f/2)|**n, so
+    F < eps where |f - 1| < (2/pi) asin((eps / (2 sqrt(2) |sin(phi/4)|))**(1/n)).
+    """
+    job = {j.filename: j for j in _fig_jobs("fig1", 0.5)}[f"fig1_n{n}_phase0.5pi.csv"]
+    axis, phi, eps = job.axes[0], job.seq.gate_phase, 1e-4
+    bound = (eps / (2.0 * math.sqrt(2.0) * abs(math.sin(phi / 4.0)))) ** (1.0 / n)
+    width = 4.0 / PI * math.asin(bound)
+    assert width == pytest.approx(closed, abs=5e-6)
+    step = (axis.stop - axis.start) / (axis.samples - 1)
+    grid = high_fidelity_bandwidth(scan_1d(axis, job.seq, job.template), eps)
+    assert abs(grid - width) <= step
+
+
 def test_criterion_6_adiabatic_peak_rabi_window():
     """Chirped n=5 gate: contiguous width-2 window below 1e-4 in peak Rabi.
 

@@ -312,8 +312,9 @@ class TestBlockKernel:
         finally:
             tracemalloc.stop()
         # bound: 4x the values.  Beside the values a scan holds its axis
-        # grids and one block, whose parameters, fold and infidelity are a
-        # fixed amount: 2.44x measured.  Full-grid parameter arrays measured
+        # grids and one block, whose parameters and infidelity are a fixed
+        # amount: 2.24x measured in closed form, 2.44x when this resonant
+        # map was folded.  Full-grid parameter arrays measured
         # 7.2x, and a fold over the whole grid at once 21.0x.
         assert peak < 4 * res.values.nbytes
 
@@ -731,24 +732,27 @@ class TestCsvContract:
 
     def test_value_digits_read_as_numpys_cast(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(22)
-        # fields M * 10**(e - 11): every e rounded twice (-33..-12), the
-        # exponents on either side of each range the parse takes, and zero
-        exponents = np.array([*range(-34, -10), 33, 34])
+        # fields M * 10**(e - 11): every two-digit exponent, those of the
+        # double-double (-99..-12 and 34..99) and Clinger's, and zero
+        exponents = np.arange(-99, 100)
         e = rng.choice(exponents, 1_000_000)
         mantissa = rng.integers(10**11, 10**12, e.size)
         for i, k in enumerate(exponents):
             e[3 * i:3 * i + 3] = k
             mantissa[3 * i:3 * i + 2] = 10**11, 10**12 - 1  # 1.00000000000, 9.99999999999
         e[-1] = mantissa[-1] = 0
-        # fields rounded twice whose value lies past the candidate's neighbour,
-        # found by exact arithmetic, and the 12-digit fields nearest a power
-        # of two: none lies within 67 gaps, so no neighbour there is one
+        # M * 10**23 lies on a rounding tie where M is a power of two, as
+        # 5**23 takes 54 bits: numpy's cast reads these
+        e[-4:-1], mantissa[-4:-1] = 34, [2**37, 2**38, 2**39]
+        # fields whose value lies past the neighbour of their quotient rounded
+        # twice, as an earlier parse took it, found by exact arithmetic, and
+        # the 12-digit fields nearest a power of two
         past = fields_past_the_neighbour(np.random.default_rng(23), 40_000)
         assert len(past) == 390
         nearest = fields_nearest_powers_of_two()
         assert len(nearest) == 1752 and min(gaps for gaps, _, _ in nearest) > 67
         constructed = past + [(m, k) for _, m, k in nearest if m >= 10**11]
-        mantissa[-1 - len(constructed):-1], e[-1 - len(constructed):-1] = zip(*constructed)
+        mantissa[-4 - len(constructed):-4], e[-4 - len(constructed):-4] = zip(*constructed)
         fields = np.zeros((e.size, 17), np.uint8)
         fields[:, [1, 13]] = ord("."), ord("e")
         fields[:, 14] = np.where(e < 0, ord("-"), ord("+"))
@@ -825,6 +829,68 @@ class TestCsvContract:
         else:
             assert read_scan_csv(path).values.tobytes() == whole[:, -1].tobytes()
         assert calls
+
+    @staticmethod
+    def _long_lines_result(shape):
+        # values below 1e-99, with three exponent digits, in four of the six
+        # blocks of a 3 x 9,000 map: at a block's first and last line, two
+        # and three in a row, a subnormal, the smallest normal, zeros, and
+        # the file's last line; a curve's blocks get the same indices
+        rng = np.random.default_rng(27)
+        values = 10.0 ** rng.uniform(-99.0, 0.0, shape)
+        flat = values.reshape(-1)
+        for at, value in {0: 1e-100, 1: 3.5e-150, 8191: 2.2250738585072014e-308,
+                          8192: 9.99999999999e-100, 9500: 5e-324, 9501: 1e-300, 9502: 0.0,
+                          9503: 4.2e-250, 20_000: 0.0, 26_999: 1.5e-200}.items():
+            flat[at] = value
+        names = ("pulse_area_fraction", "duration_fraction")
+        axes = tuple(SweepAxis(name, 0.5, 1.5, n) for name, n in zip(names[-len(shape):], shape))
+        return ScanResult(axes=axes, values=values)
+
+    @pytest.mark.parametrize("shape", [(3, 9000), (27_000,)], ids=["map", "curve"])
+    def test_three_exponent_digits_read_as_bytes(self, tmp_path, monkeypatch, shape):
+        result = self._long_lines_result(shape)
+        path = tmp_path / "tiny.csv"
+        save_scan_csv(result, path)
+        assert path.read_bytes().split(b"infidelity\n", 1)[1] == reference_rows(result).encode()
+        whole = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)[:, -1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block with three exponent digits went to numpy.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        back = read_scan_csv(path).values.ravel()
+        assert back.tobytes() == whole.tobytes()
+        assert back[9500] == 5e-324 and back[20_000] == 0.0
+
+    def test_more_long_lines_than_a_block_shifts_read_numpys_bits(self, tmp_path):
+        result = self._long_lines_result((3, 9000))
+        result.values[1, 100:100 + scan._SLACK + 1] = 1e-150  # in the third block
+        path = tmp_path / "tiny.csv"
+        save_scan_csv(result, path)
+        whole = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)[:, -1]
+        assert read_scan_csv(path).values.ravel().tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("column, byte", [(-4, ":"), (-3, "/"), (-2, "\r"), (-5, ",")],
+                             ids=["hundreds", "tens", "cr", "exponent-sign"])
+    def test_a_flipped_byte_in_a_long_line_reads_what_numpy_reads(self, tmp_path, column, byte):
+        path = tmp_path / "tiny.csv"
+        save_scan_csv(self._long_lines_result((3, 9000)), path)
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 9503
+        assert lines[at].endswith("4.20000000000e-250\n")
+        lines[at] = lines[at][:column] + byte + lines[at][column + 1:]
+        path.write_bytes("".join(lines).encode())
+        try:
+            whole, message = np.loadtxt(path, delimiter=",", comments="#", ndmin=2), None
+        except ValueError as err:
+            whole, message = None, str(err)
+        if message is None:
+            assert read_scan_csv(path).values.tobytes() == whole[:, -1].tobytes()
+        else:
+            with pytest.raises(ValueError) as got:
+                read_scan_csv(path)
+            assert str(got.value) == message
 
     @pytest.mark.parametrize("inner", [SIGNED, POSITIVE])
     def test_crlf_and_cr_line_ends_read_the_same_bits(self, tmp_path, inner):
@@ -985,9 +1051,8 @@ class TestBlockWriter:
         shape = (3, 9000) if case == "map" else (20_000,)
         values = 10.0 ** rng.uniform(-99.0, 99.99, shape)
         taken = 6 if case == "map" else 3  # blocks of the template, of 6 or 3
-        if case == "edges":  # 1e-100 sends its block to the padded path
+        if case == "edges":  # 1e-100 and below keep their block on the template
             values[[0, 1, 9000, 9001, 9002, 19_000]] = 0.0, 1e-99, 9.99999999999e-100, 1e-100, 0.0, 1e-99
-            taken = 2
         elif case == "ties":  # rounding ties, which take Python's format
             values[::7] = [float(f"{d}5e{k - 12}") for d, k in zip(
                 rng.integers(10**11, 10**12, values[::7].size).tolist(),
@@ -1022,7 +1087,10 @@ class TestBlockWriter:
 
     @pytest.mark.parametrize("value", [1e-120, -0.5])
     def test_a_value_off_the_layout_writes_pythons_text(self, tmp_path, monkeypatch, value):
-        # a signed outer axis; a result's axes address distinct parameters
+        # a signed outer axis; a result's axes address distinct parameters.
+        # A sign takes its block off the layout, to the per-point text and
+        # numpy.loadtxt; a third exponent digit is spliced into the template
+        # and read as bytes
         axes = (SweepAxis("duration_fraction", -1.0, 1.0, 3), SweepAxis(*SIGNED, 9000))
         values = 10.0 ** np.random.default_rng(25).uniform(-99.0, 99.99, (3, 9000))
         values[1, 100] = value  # in the third of six blocks
@@ -1038,12 +1106,14 @@ class TestBlockWriter:
         monkeypatch.setattr(scan, "_format_e11", spy)
         path = tmp_path / "off.csv"
         save_scan_csv(result, path)
-        assert spelled == [True, True, False, True, True, True]
+        off = value < 0
+        assert spelled == [True, True, not off, True, True, True]
         assert path.read_bytes().split(b"infidelity\n", 1)[1] == reference_rows(result).encode()
         whole = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)[:, -1]
         loadtxt, calls = np.loadtxt, []
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
-        assert read_scan_csv(path).values.ravel().tobytes() == whole.tobytes() and calls
+        assert read_scan_csv(path).values.ravel().tobytes() == whole.tobytes()
+        assert bool(calls) == off
 
     def test_memory_stays_far_below_the_bytes_written(self):
         class Discard:

@@ -6,9 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from cpgates.pulses import resonant_rect_propagator, transition_probability
+from cpgates import sequences
+from cpgates.pulses import (
+    PulseSpec,
+    constituent_grid,
+    resonant_rect_propagator,
+    transition_probability,
+)
+from cpgates.scan import SweepAxis, scan_1d, scan_2d
 from cpgates.sequences import (
     DETUNING_VARIANTS,
+    MAX_BROADBAND_PULSES,
     UNIVERSAL_VARIANTS,
     PhaseGateSequence,
     broadband_phases,
@@ -16,12 +24,15 @@ from cpgates.sequences import (
     detuning_phases,
     gate_propagator,
     make_phase_gate_sequence,
+    sequence_infidelity,
     sequence_table,
     universal_phases,
 )
-from cpgates.su2 import TargetGate, infidelity, with_phase
+from cpgates.su2 import TargetGate, fold, gate_infidelity, infidelity, phase_gate, with_phase
+from test_properties import matrix_chain
 
 PI = math.pi
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def pi_units(phases):
@@ -286,6 +297,95 @@ class TestGatePropagator:
             g1, g2 = gate_propagator(s1, pulse), gate_propagator(s2, pulse)
             assert abs(g1.a - g2.a) < 1e-12
             assert abs(g1.b - g2.b) < 1e-12
+
+
+def rect_pulses(area, detuning=0.0):
+    """(a, b) of rectangular pulses of unit duration, as a scan block builds them."""
+    area = np.asarray(area, dtype=float)
+    return constituent_grid("rectangular", "constant", area, np.ones_like(area),
+                            np.full_like(area, detuning))
+
+
+class TestSequenceInfidelity:
+    """The one route choice: the closed form on a real a, else the fold."""
+
+    @pytest.mark.parametrize("phase_pi", [0.25, 0.5, 1.37, 3.9, 0.5 + 4.0])
+    def test_closed_form_matches_the_brute_force_chain(self, monkeypatch, phase_pi):
+        def refuse(*args):
+            raise AssertionError("a real a of a broadband sequence was folded")
+
+        monkeypatch.setattr(sequences, "fold", refuse)
+        rng = np.random.default_rng(27)
+        for n in range(1, MAX_BROADBAND_PULSES + 1, 2):
+            seq = make_phase_gate_sequence(broadband_phases(n), phase_pi * PI)
+            a, b = rect_pulses(rng.uniform(0.0, 2.0 * PI, 40))
+            got = sequence_infidelity(seq, a, b)
+            # the 2n-pulse chain and the Frobenius distance of all four
+            # entries, in extended precision where numpy has it, with the
+            # phases k(k-1)pi/n and their copy's shift taken from the formula.
+            # The package's phases are doubles: a chain over them, in any
+            # precision, lies up to 2.8e-14 from the exact gate at n = 25
+            cp = [k * (k - 1) * LONG_PI / n for k in range(1, n + 1)]
+            phase = np.longdouble(seq.gate_phase)
+            phases = cp + [p + LONG_PI + phase / 2 for p in cp]
+            ga, gb = matrix_chain(phases, a.astype(np.clongdouble), b.astype(np.clongdouble))
+            t = np.exp(np.clongdouble(0.5j) * phase)
+            chain = np.sqrt(2 * np.abs(ga - t) ** 2 + 2 * np.abs(gb) ** 2)
+            assert np.max(np.abs(got - chain)) <= 1e-14, n
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 9, 25])
+    def test_closed_form_is_exact_where_the_fold_is_noise(self, n):
+        # near area fraction 1 +- eps, F / |eps|**n -> 2 sqrt(2) |sin(phase/4)|
+        # (pi/2)**n, relatively within n (pi eps/2)**2/6 and the rounding of
+        # the area; the fold's values there are noise of about 1e-16
+        phase = 0.37 * PI
+        limit = 2.0 * math.sqrt(2.0) * abs(math.sin(phase / 4.0)) * (PI / 2.0) ** n
+        seq = make_phase_gate_sequence(broadband_phases(n), phase)
+        for eps in (1e-3, 1e-5, 1e-7):
+            axis = SweepAxis("pulse_area_fraction", 1.0 - eps, 1.0 + eps, 2)
+            values = scan_1d(axis, seq, PulseSpec.rectangular(PI)).values
+            for x, value in zip(axis.grid(), values):
+                ratio = value / abs(x - 1.0) ** n / limit
+                assert abs(ratio - 1.0) <= n * ((PI * eps / 2.0) ** 2 / 6.0 + 1e-15 / eps), (eps, x)
+
+    def test_other_points_take_the_fold_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        area = rng.uniform(0.0, 2.0 * PI, 5000)
+        cases = [
+            # a detuned rect pulse: a complex everywhere
+            (make_phase_gate_sequence(broadband_phases(5), 0.3 * PI), rect_pulses(area, 0.4)),
+            # a real a, but a universal sequence
+            (make_phase_gate_sequence(universal_phases("U5a"), 0.3 * PI), rect_pulses(area)),
+            (make_phase_gate_sequence(detuning_phases("n5"), 0.3 * PI), rect_pulses(area)),
+        ]
+        for seq, (a, b) in cases:
+            assert a.imag.all() or seq.source.family != "broadband"
+            folded = gate_infidelity(*phase_gate(*fold(seq.source.phases, a, b), seq.gate_phase),
+                                     seq.gate_phase)
+            assert sequence_infidelity(seq, a, b).tobytes() == folded.tobytes()
+
+    def test_each_point_of_a_block_takes_its_own_route(self):
+        # one block of a broadband map holds detuning 0, where a is real,
+        # and detuned points: each gets the bits of a block of its own kind
+        seq = make_phase_gate_sequence(broadband_phases(9), 0.5 * PI)
+        template = PulseSpec.rectangular(PI)
+        durations = SweepAxis("duration_fraction", 0.5, 1.5, 300)
+        detunings = SweepAxis("detuning_times_T", 0.0, 1.0, 11)
+        mixed = scan_2d(durations, detunings, seq, template)
+        for column, detuning in enumerate(detunings.grid()):
+            alone = scan_1d(durations, seq, PulseSpec.rectangular(PI, detuning=detuning))
+            assert mixed.values[:, column].tobytes() == alone.values.tobytes(), detuning
+
+    def test_a_point_query_takes_the_route(self):
+        seq = make_phase_gate_sequence(broadband_phases(5), 0.5 * PI)
+        a, b = rect_pulses([0.9 * PI])
+        scalar = sequence_infidelity(seq, complex(a[0]), complex(b[0]))
+        assert type(scalar) is float
+        assert scalar == 2.0 * math.sqrt(2.0) * math.sin(PI / 8.0) * abs(a[0].real) ** 5
+        detuned = make_phase_gate_sequence(universal_phases("U5a"), 0.5 * PI)
+        pulse = resonant_rect_propagator(0.9 * PI)
+        assert sequence_infidelity(detuned, pulse.a, pulse.b) == infidelity(
+            gate_propagator(detuned, pulse), TargetGate(detuned.gate_phase))
 
 
 def test_sequence_table_audit_format():

@@ -25,33 +25,21 @@ duration T0:
     duration_fraction     T/T0; scales the pulse length, all else fixed
 
 CSV output carries the full metadata as '#'-prefixed header lines followed
-by "x[,y],F" rows in scientific notation with 12 significant digits.  Axis
-bounds are written exactly, so write, read and write again gives the same
-bytes.  The writer and the reader walk the rows in the same blocks of whole
-rows (at most 8,192 values).  The writer spells digits in numpy, byte for
-byte Python's "%.11e": integer arithmetic on a 12-digit mantissa scaled to
-within 2.3e-4, with Python's own format for the few values within 1e-3 of a
-rounding tie, beyond |e| >= 100 or not finite.  Every block has one byte
-template that the writer and the reader share: its coordinates and
-separators, and value fields of 17 bytes, d.ddddddddddde+dd (no sign, two
-exponent digits).  A coordinate takes 17 to 19 bytes (a sign, a third
-exponent digit), so the template is a few rectangles, each holding lines of
-one length: rows whose outer coordinate has one layout times columns whose
-inner coordinate has one.  The writer spells a block's values once into a
-contiguous scratch and copies them into each rectangle's value fields; a
-value with three exponent digits (below 1e-99, or from 1e100) keeps its
-first 17 bytes there, and its line gets the third digit spliced in before
-its "\n".  A block with a sign, NaN or inf comes out as Python's "%.11e" of
-each point.  The reader finds a block's few longer lines from where its
-line ends fall, takes their 18-byte fields out of line, checks each
-rectangle against the template in one range compare and parses each value
-from its 12 digits M and exponent e: one multiply or divide by an exact
-power of ten where |e - 11| <= 22 (Clinger), a double-double power of ten
-and Dekker's exact product error for every other two-digit exponent, and
-numpy's cast for three exponent digits and within 2**-30 ulp of a rounding
-tie.  A block off the template (a comment, a CRLF, a sign) sends the rest of
-the file to numpy.loadtxt, checked against each block's span of the axes.
-Both give float() of a field.
+by "x[,y],F" rows, each number byte for byte Python's "%.11e".  Axis bounds
+are written exactly, so write, read and write again gives the same bytes.
+The writer and the reader walk the rows in the same blocks of whole rows (at
+most 8,192 values), each laid out in one byte template: its coordinates and
+separators, and value fields of 17 bytes, d.ddddddddddde+dd.  A coordinate
+takes 17 to 19 bytes (a sign, a third exponent digit), so the template is a
+few rectangles, each holding lines of one length.  The writer spells digits
+in numpy (Python's own format for the few values near a rounding tie or
+with three exponent digits) and copies a block's values into the template;
+a value, an infidelity, has no sign, and one below 1e-99 or from 1e100 gets
+its third exponent digit spliced in before its "\n".  The reader takes those
+bytes and no others: it finds a block's longer lines in one pass, checks
+each rectangle against the template in one range compare, and parses each
+value from its digits to float() of its field.  Any other byte raises
+ValueError naming the data row; numpy's text reader reads a file edited by hand.
 """
 
 from __future__ import annotations
@@ -60,7 +48,6 @@ import io
 import itertools
 import math
 import numbers
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import IO
@@ -156,14 +143,22 @@ def _check_axes(axes: tuple[SweepAxis, ...]) -> None:
     if points > _MAX_SAMPLES:
         raise ValueError(f"a scan holds at most {_MAX_SAMPLES} points, "
                          f"this one {points}")
+    if {"pulse_area_fraction", "peak_rabi_times_T"} <= set(names):
+        raise ValueError(
+            "pulse_area_fraction and peak_rabi_times_T both control the "
+            "peak Rabi frequency; sweep only one of them"
+        )
+    if any(ax.start < 0 for ax in axes if ax.parameter != "detuning_times_T"):
+        raise ValueError("only a detuning_times_T axis may start below 0")
 
 
 @dataclass(frozen=True)
 class ScanResult:
     """Sampled infidelity grid over one or two axes.
 
-    The axes address distinct parameters and span at most 10,000,000 points,
-    and ``values`` has their shape (ValueError otherwise).
+    The axes are a scan's (see :func:`scan_2d`), ``values`` has their shape,
+    and every value is a gate infidelity, finite and without a sign bit, as
+    a scan returns it (ValueError otherwise).
     """
 
     axes: tuple[SweepAxis, ...]
@@ -177,6 +172,11 @@ class ScanResult:
             raise ValueError(
                 f"grid shape {self.values.shape} does not match axes {expected}"
             )
+        bits = np.asarray(self.values, float).view(np.uint64)
+        if bits.max() >= 0x7FF0000000000000:  # inf's bits: a sign bit, inf or NaN at or above
+            first = self.values.flat[np.argmax(bits >= 0x7FF0000000000000)]
+            raise ValueError("scan values are infidelities, finite and without a sign, "
+                             f"not {float(first)!r}")
 
 
 def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], coords):
@@ -237,16 +237,8 @@ def _run_scan(
     _check_axes(axes)
     if template.duration <= 0:
         raise ValueError("scan templates need a positive duration")
-    names = [ax.parameter for ax in axes]
-    if {"pulse_area_fraction", "peak_rabi_times_T"} <= set(names):
-        raise ValueError(
-            "pulse_area_fraction and peak_rabi_times_T both control the "
-            "peak Rabi frequency; sweep only one of them"
-        )
-    if "detuning_times_T" in names and template.model != "constant":
+    if any(ax.parameter == "detuning_times_T" for ax in axes) and template.model != "constant":
         raise ValueError("a detuning sweep requires the constant-detuning model")
-    if any(ax.start < 0 for ax in axes if ax.parameter != "detuning_times_T"):
-        raise ValueError("only a detuning_times_T axis may start below 0")
     grids = [ax.grid() for ax in axes]
     shape = tuple(g.size for g in grids)
     points = math.prod(shape)
@@ -286,7 +278,8 @@ def scan_2d(
 
     Values are row-major over (axis_x, axis_y): ``values[i, j]`` belongs to
     the i-th x sample and j-th y sample.  The product of the two sample
-    counts may not exceed 10,000,000 (ValueError).
+    counts may not exceed 10,000,000, the two axes may not both set the peak
+    Rabi frequency, and only a detuning axis may start below 0 (ValueError).
     """
     return _run_scan((axis_x, axis_y), seq, pulse_template)
 
@@ -405,9 +398,9 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None):
     power of ten stay on the integer path.
 
     Given ``text``, codes of shape ``values.shape + (17,)`` such as the
-    writer's scratch for a block, it spells columns 1-17 there and returns
-    the rows whose texts have a third exponent digit and that digit's code,
-    or writes nothing and returns None if a text has a sign or no digits.
+    writer's scratch for a block of a :class:`ScanResult`'s values (finite,
+    with no sign), it spells columns 1-17 there and returns the rows whose
+    texts have a third exponent digit and that digit's code.
     """
     v = np.asarray(values, dtype=float)
     scaled = np.abs(v)  # |v|, scaled by 10**(11 - e) in place
@@ -433,8 +426,6 @@ def _format_e11(values: np.ndarray, text: np.ndarray | None = None):
             text = np.zeros((*v.shape, _FIELD), np.uint8)
             text[..., 0] = np.signbit(v) * ord("-")
             codes, python = text[..., 1:], texts
-        elif np.signbit(v).any() or not texts[:, -2].all():
-            return None  # a sign, or no digit in column 17: NaN or inf
         else:
             codes, python = text, texts[:, 1:-1]
         codes[..., 1] = ord(".")
@@ -467,7 +458,7 @@ _LOWEST = np.frombuffer(b"0.00000000000e+00", np.uint8)
 _SPAN = np.array([9, 0, *[9] * 11, 0, 2, 9, 9], np.uint8)
 _VALUE = slice(-_CANONICAL - 1, -1)  # a line's value field, before its "\n"
 _PIECE = 4096  # lines per step of the reader's byte check: bounds its temporaries
-_SLACK = 256  # lines with three exponent digits a block may hold and be read as bytes
+_SEARCH = 1024  # most lines per step of the search for longer lines: bounds its temporaries
 
 
 def _runs(codes: np.ndarray) -> list[tuple[slice, slice]]:
@@ -579,13 +570,11 @@ def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple]:
 def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | memoryview]:
     """The CSV contract as bytes: the UTF-8 header, then one chunk per block.
 
-    A block's values are spelled once into a contiguous scratch of 17 codes
-    each, then copied into the value fields of each rectangle of its lines
-    (:func:`_blocks`), which come out as they stand.  A block with a value
-    off that layout (a sign, NaN or inf) comes out instead as Python's
-    "%.11e" of each of its points.  A value with three exponent digits
-    leaves its first 17 bytes in the template, and the block comes out in
-    pieces with its third digit between them, before the line's "\n".
+    A block's values, which have no sign and are finite, are spelled once
+    into a contiguous scratch of 17 codes each, then copied into the value
+    fields of each rectangle of its lines (:func:`_blocks`), which come out as
+    they stand.  A value with three exponent digits leaves its first 17 bytes
+    there, and its third digit comes out between pieces, before its "\n".
     """
     header = ["# cpgates-scan\n"]
     for key, value in [*(extra_header or {}).items(), *result.metadata.items()]:
@@ -601,7 +590,6 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
     header.append(f"# columns: {names},infidelity\n")
     yield "".join(header).encode("utf-8")
 
-    line = b",".join([b"%.11e"] * (len(result.axes) + 1)) + b"\n"
     values = result.values.ravel()
     scratch = None
     for start, coordinates, lines, rects in _blocks(result.axes):
@@ -609,15 +597,11 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
         block = values[start:start + math.prod(shape)]
         if scratch is None:  # for the first block, the largest
             scratch = np.empty((block.size, _CANONICAL), np.uint8)
-        spelled = _format_e11(block, scratch[:block.size])
-        if spelled is None:  # a sign, NaN or inf
-            points = itertools.product(*(g.tolist() for g in coordinates))
-            yield b"".join(line % (*p, v) for p, v in zip(points, block.tolist()))
-            continue
+        # a third exponent digit goes before its line's "\n"
+        long, digit = _format_e11(block, scratch[:block.size])
         digits = scratch[:block.size].reshape(*shape, _CANONICAL)
         for rect in rects:
             _rectangle(lines, rect)[..., _VALUE] = digits[rect[0], rect[1]]
-        long, digit = spelled  # a third exponent digit goes before its line's "\n"
         ends = [0, *(_line_ends(rects, shape)[long].tolist() if long.size else [])]
         for lo, hi, code in zip(ends, ends[1:], digit.tolist()):
             yield lines.data[lo:hi]
@@ -674,19 +658,19 @@ def _product_error(a, b):
 
 
 def _canonical_rows(lines: np.ndarray, template: np.ndarray, rects: list,
-                    values: np.ndarray) -> bool:
-    """Parse a block's canonical lines into ``values``; False if a byte is off.
+                    values: np.ndarray) -> int:
+    """Parse a block's lines into ``values``; the first line with a byte off.
 
     ``lines`` holds the block's bytes, ``template`` and ``rects`` its lines
     and their rectangles from :func:`_blocks`, and ``values`` its (rows,
-    columns) values.  One range compare per rectangle checks every byte:
-    ``lines - template`` in uint8 is 0 outside the value fields and at most
-    ``_SPAN`` in them, where an exponent sign "," (1) is refused apart.  It
-    is taken in place, in pieces of at most 4,096 lines that bound the
-    temporaries, and leaves the value digits as 0-9, which :func:`_parse`
-    reads.  A rectangle of one row or of whole rows is parsed in place, and
-    others through a copy of their fields and values.
+    columns) values, over which lines count row-major.  One range compare
+    per rectangle checks every byte: ``lines - template`` in uint8 is 0
+    outside the value fields and at most ``_SPAN`` in them, with an exponent
+    sign "," (1) refused apart.  It is taken in place, in pieces of at most
+    4,096 lines, and leaves the digits as 0-9 for :func:`_parse`.  Returns
+    the number of lines if none is off.
     """
+    first = values.size
     for rect in rects:
         got, want = _rectangle(lines, rect), _rectangle(template, rect)
         rows, columns, width = got.shape
@@ -695,16 +679,20 @@ def _canonical_rows(lines: np.ndarray, template: np.ndarray, rects: list,
         step = max(1, _PIECE // columns)
         for i, j in itertools.product(range(0, rows, step), range(0, columns, _PIECE)):
             at = np.s_[i:i + step, j:j + _PIECE]
-            if not (np.subtract(got[at], want[at], out=got[at]) <= span).all():
-                return False
-        if (got[..., -4] == 1).any():
-            return False
-        cells = values[rect[0], rect[1]]
-        parsed = cells.reshape(-1)
-        _parse(got[..., _VALUE].reshape(-1, _CANONICAL), parsed)
-        if not np.may_share_memory(parsed, cells):
-            cells[...] = parsed.reshape(cells.shape)
-    return True
+            diff = np.subtract(got[at], want[at], out=got[at])
+            if (diff <= span).all() and not (diff[..., -4] == 1).any():
+                continue
+            r, c = np.argwhere((diff > span).any(-1) | (diff[..., -4] == 1))[0].tolist()
+            line = (rect[0].start + i + r) * values.shape[1] + rect[1].start + j + c
+            first = min(first, line)
+            break  # the pieces of a rectangle come in the order of its lines
+        if first == values.size:  # no line off yet
+            cells = values[rect[0], rect[1]]
+            parsed = cells.reshape(-1)
+            _parse(got[..., _VALUE].reshape(-1, _CANONICAL), parsed)
+            if not np.may_share_memory(parsed, cells):
+                cells[...] = parsed.reshape(cells.shape)
+    return first
 
 
 def _parse(value: np.ndarray, values: np.ndarray) -> None:
@@ -743,44 +731,59 @@ def _parse(value: np.ndarray, values: np.ndarray) -> None:
     values[slow] = (value[slow] + _LOWEST).view(f"S{_CANONICAL}")[:, 0]
 
 
-def _long_lines(fh: IO[bytes], raw: np.ndarray, ends: np.ndarray) -> tuple | None:
-    """Take a block's lines with three exponent digits out of line, in place.
+def _long_lines(fh: IO[bytes], raw: np.ndarray, ends: np.ndarray) -> tuple:
+    """Read a block into ``raw`` in its template's layout; its longer lines.
 
-    ``raw`` holds a block read to its template's size, ``ends[-1] + 1``, and
-    ``ends`` its template's "\n" offsets.  A value with three exponent
-    digits makes its line one byte longer than the template's, and shifts
-    every later line by one: a line whose "\n" is not where the template and
-    the longer lines before it put it is one.  Reads at most 256 bytes more,
-    finds those lines, copies their 18-byte fields, removes each one's
-    hundreds digit, so that the block has its template's size again, and
-    leaves ``fh`` at the block's end.  Returns the lines and their fields,
-    or None where more than 256 such lines or the file's end lie beyond or a
-    byte taken out is not a digit.
+    ``ends`` holds the template's "\n" offsets.  A third exponent digit makes
+    a line one byte longer and shifts every later line.  One pass finds
+    those lines: a gather of the "\n"s where the template and the longer
+    lines so far put them finds the next line off, and the "\n"s of a piece
+    of lines from there say which are longer (16 lines, or four times as
+    many as the last piece grew, up to 1,024).  Their 18-byte fields are
+    copied out and their hundreds digits taken out in place.  Reads a byte
+    a line more once a line is off, and leaves ``fh`` at the block's end.
+    Returns the longer lines, their fields and the first line whose "\n"
+    lies elsewhere or whose hundreds digit is not 1-9 (up to which the
+    block is laid out), or the number of lines.
     """
-    size = int(ends[-1]) + 1
-    got = fh.readinto(raw[size:size + _SLACK])
-    raw[size + got:size + _SLACK] = 0  # no stale "\n"
-    long: list[int] = []
-    while len(long) <= got:
-        first = long[-1] + 1 if long else 0
-        off = raw[ends[first:] + len(long)] != ord("\n")
-        if not off.any():
+    size, count = int(ends[-1]) + 1, ends.size
+    have = fh.readinto(raw[:size])
+    raw[have:size + count] = 0  # no stale "\n" past what is read
+    long, fields, shift, lo, start, piece = [], [], 0, 0, 0, 16
+    while True:
+        off = raw[shift:][ends[lo:]] != ord("\n")
+        lo = lo + int(off.argmax()) if off.any() else count
+        end = int(ends[lo - 1]) + 1 if lo else 0
+        if shift:  # lines whose "\n" holds, moved back
+            raw[start:end] = raw[start + shift:end + shift]
+        if lo == count:
             break
-        long.append(first + int(off.argmax()))
-    if len(long) > got:
-        return None
-    last = ends[long] + np.arange(len(long))  # each field's last digit
-    fields = raw[last[:, None] + np.arange(-_CANONICAL, 1)]
-    if not (fields[:, -3] - ord("0") <= 9).all():  # in uint8
-        return None
-    for k, (lo, hi) in enumerate(zip(last - 2, [*(last[1:] - 2).tolist(), size + len(long)])):
-        raw[lo - k:hi - k - 1] = raw[lo + 1:hi]
-    fh.seek(len(long) - got, io.SEEK_CUR)
-    return np.array(long), fields
+        if have == size:  # as far as a block of longer lines reaches
+            have += fh.readinto(raw[size:size + count])
+        hi = min(lo + piece, count)
+        found = np.flatnonzero(raw[end + shift:int(ends[hi - 1]) + 1 + shift + hi - lo]
+                               == ord("\n"))[:hi - lo] + end + shift
+        step = np.diff(found - ends[lo:lo + found.size], prepend=shift)
+        # in uint8: a longer line's hundreds digit, before its last two, is 1-9
+        fine = (step == 0) | (step == 1) & (raw[found - 3] - ord("1") <= 8)
+        grown = np.flatnonzero(step[:np.append(fine, False).argmin()] == 1)
+        if not grown.size:  # line lo is off, not longer
+            return np.array(long, np.intp), fields, lo
+        last = found[grown] - 1  # each longer field's last digit, up to the piece's last
+        fields.append(raw[last[:, None] + np.arange(-_CANONICAL, 1)])
+        keep = np.ones(last[-1] + 2 - end - shift, bool)
+        keep[last - 2 - end - shift] = False
+        start = end + keep.size - grown.size
+        raw[end:start] = raw[end + shift:last[-1] + 2][keep]
+        long.extend((lo + grown).tolist())
+        shift, lo = shift + grown.size, lo + int(grown[-1]) + 1
+        piece = min(max(16, 4 * grown.size), _SEARCH)  # a run of longer lines takes longer pieces
+    fh.seek(size + shift - have, io.SEEK_CUR)
+    return np.array(long, np.intp), fields, count
 
 
 def read_scan_csv(path) -> ScanResult:
-    """Parse a file written by :func:`write_scan_csv`.
+    """Read a file that :func:`save_scan_csv` or :func:`write_scan_csv` wrote.
 
     The '#' header ends at the first data row.  The axes come back exactly,
     because their bounds are written in the shortest form that round-trips;
@@ -788,23 +791,16 @@ def read_scan_csv(path) -> ScanResult:
     ``columns``, which the axes imply.  Writing the result again gives the
     same bytes.
 
-    The rows are read a block of :func:`_blocks` at a time into the values
-    array.  A block is read as the bytes of its template's lines and taken as
-    it stands if each of its rectangles matches the template in one range
-    compare: coordinates and separators byte for byte, values in the
-    canonical layout (:func:`_canonical_rows`).  A block whose last byte is
-    not a "\n" first has its lines with three exponent digits taken out of
-    line (:func:`_long_lines`), up to 256 of them.  From the first block that
-    does not match (a comment, a CRLF, a value with a sign, NaN or inf), and
-    after the last expected row, ``numpy.loadtxt`` parses the text 8,192
-    lines at a time, skipping blank and comment lines; its errors name the
-    file's data row.  Values are ``float`` of each field either way: read
-    from their digits, exactly from 1e-99 to below 1e100, and by numpy's cast
-    for three exponent digits or within 2**-30 of a gap from a rounding tie.
-    A file with another number of rows or fields than its axes call for, a
-    row whose coordinates are not ``float("%.11e" % g)`` of its grid point, a
-    malformed axis line or axes that no scan has (see :class:`ScanResult`)
-    raise ValueError that names the file, and the missing key or the line.
+    The rows are read a block of :func:`_blocks` at a time, as the bytes of
+    its template: :func:`_long_lines` takes out the third exponent digits,
+    and :func:`_canonical_rows` checks every byte and parses the values to
+    ``float`` of each field.  Any other bytes (a comment or blank line, a CR,
+    another spelling, a sign, NaN, coordinates off the axes, a row missing or
+    one too many) raise ValueError naming the file and the first data row
+    that differs, or both row counts if the file ends early; numpy's text
+    reader reads a file edited by hand (see the README).  A malformed axis
+    line, or axes no scan has (see :class:`ScanResult`), raise ValueError
+    naming the file, and the missing key or the line.
     """
     metadata: dict = {}
     axes: list[SweepAxis] = []
@@ -831,8 +827,6 @@ def read_scan_csv(path) -> ScanResult:
                 key, value = (part.strip() for part in body.split(":", 1))
                 if key != "columns":
                     metadata[key] = value
-        else:
-            data = None
         header.detach()
         if not axes:
             raise ValueError(f"{path} carries no axis header")
@@ -842,67 +836,34 @@ def read_scan_csv(path) -> ScanResult:
             raise ValueError(f"{path}: {err}") from None
         shape = tuple(ax.samples for ax in axes)
         size, width = math.prod(shape), len(axes) + 1
-        if data is None:  # numpy would warn first, and report one field
-            raise ValueError(f"{path}: the axes call for {size} data "
-                             f"rows of {width} fields, found 0 rows")
         fh.seek(data)
         values = np.empty(size)  # a read holds its values and one block
-        found, fields = 0, width
-        raw = None  # made for the largest block in bytes
+        raw = laid = None
         for start, coordinates, template, rects in _blocks(tuple(axes)):
             lines = (1, *map(len, coordinates))[-2:]  # rows and columns
-            if raw is None or raw.size < template.size + _SLACK:
-                raw = np.empty(template.size + _SLACK, np.uint8)
-            at, block, rows = fh.tell(), raw[:template.size], values[start:start + math.prod(lines)]
-            whole, long = fh.readinto(block) == block.size, ()
-            if whole and block[-1] != ord("\n"):  # a line longer than the template's
-                long = _long_lines(fh, raw, _line_ends(rects, lines))
-            if (not whole or long is None
-                    or not _canonical_rows(block, template, rects, rows.reshape(lines))):
-                fh.seek(at)
-                break
-            if long:
-                rows[long[0]] = long[1].view(f"S{_CANONICAL + 1}")[:, 0]
-            found = start + rows.size
-        # the axes as the file holds them: whole up to a block's length, else by span
-        grids = [ax.grid() for ax in axes] if found < size else []
-        backs = [_read_back(g) if g.size <= _BLOCK else None for g in grids]
-        lines = io.TextIOWrapper(fh, encoding="utf-8")  # as a text read, from here
-        for line in lines:
-            if not line.split("#", 1)[0].rstrip("\n"):
-                continue  # numpy skips blank and comment lines
-            try:
-                rows = np.loadtxt(itertools.chain([line], itertools.islice(lines, _BLOCK - 1)),
-                                  delimiter=",", comments="#", ndmin=2)
-            except ValueError as err:  # numpy counts data rows from the block's first
-                err.args = (re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + found}",
-                                   str(err)),)
-                raise
-            lo, found = found, found + len(rows)
-            fields = rows.shape[1] if rows.shape[1] != width else fields
-            if found > size or fields != width:
-                continue  # counted for the error below
-            at = np.unravel_index(np.arange(lo, found), shape)
-            written = [_read_back(g[k.min():k.max() + 1])[k - k.min()] if b is None else b[k]
-                       for g, b, k in zip(grids, backs, at)]
-            off = np.any([rows[:, i] != w for i, w in enumerate(written)], axis=0)
-            if off.any():
-                j = int(np.argmax(off))  # the first, at data row lo + j + 1
-                wanted = tuple(float(w[j]) for w in written)
-                raise ValueError(f"{path}: data row {lo + j + 1} holds coordinates "
-                                 f"{tuple(rows[j, :-1].tolist())}, where the axes put {wanted}")
-            values[lo:found] = rows[:, -1]
-    if (found, fields) != (size, width):
-        raise ValueError(f"{path}: the axes call for {size} data rows of {width} "
-                         f"fields, found {found} rows of {fields}")
+            if laid != (rects, lines):
+                ends, laid = _line_ends(rects, lines), (rects, lines)
+            if raw is None or raw.size < template.size + ends.size:
+                raw = np.empty(template.size + ends.size, np.uint8)
+            at, rows = fh.tell(), values[start:start + ends.size]
+            long, fields, off = _long_lines(fh, raw, ends)
+            off = min(off, _canonical_rows(raw[:template.size], template, rects,
+                                           rows.reshape(lines)))
+            if long.size:  # those before the first line off, whose other bytes hold
+                long = long[:np.searchsorted(long, off)]
+                rows[long] = np.concatenate(fields)[:long.size].view(f"S{_CANONICAL + 1}")[:, 0]
+                # three exponent digits of the writer's read as neither 0 nor inf
+                off = min(long[~((rows[long] > 0) & (rows[long] < np.inf))], default=off)
+            if off < rows.size:  # after its template's lines and the longer lines before it
+                fh.seek(at + int(ends[off - 1] + 1 if off else 0) + np.searchsorted(long, off))
+                text = fh.readline(80)
+                if not text:
+                    raise ValueError(f"{path}: the axes call for {size} data rows of {width} "
+                                     f"fields, found {start + off} rows")
+                raise ValueError(f"{path}: data row {start + off + 1} is not as the writer "
+                                 f"writes it: {text!r}")
+        tail = fh.readline(80)
+        if tail:
+            raise ValueError(f"{path}: the axes call for {size} data rows, and more "
+                             f"follows: {tail!r}")
     return ScanResult(axes=tuple(axes), values=values.reshape(shape), metadata=metadata)
-
-
-def _read_back(grid: np.ndarray) -> np.ndarray:
-    """float("%.11e" % g) of every grid value: the coordinates a file holds."""
-    back = np.empty(grid.size)
-    for lo in range(0, grid.size, _BLOCK):
-        codes = _format_e11(grid[lo:lo + _BLOCK])
-        codes[codes[:, 0] == 0, 0] = ord("+")  # the cast stops at a NUL
-        back[lo:lo + _BLOCK] = codes.view(f"S{_FIELD}")[:, 0]
-    return back

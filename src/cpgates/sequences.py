@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,13 +200,11 @@ def composite_phases(family: str, variant: str) -> CompositePhases:
     if key is None:
         raise ValueError(f"unknown family {family!r}; choose from "
                          "broadband, detuning, universal")
-    if key == "broadband":
-        text = variant.lower().lstrip("n")
-        try:
-            n = int(text)
-        except ValueError:
-            raise ValueError(f"broadband variant must look like 'n3', got {variant!r}") from None
-        return broadband_phases(n)
+    if key == "broadband":  # an optional n or N, then decimal digits
+        digits = re.fullmatch(r"[nN]?([0-9]+)", variant)
+        if digits is None:
+            raise ValueError(f"broadband variant must look like 'n3', got {variant!r}")
+        return broadband_phases(int(digits[1]))
     if key == "detuning_compensated":
         return detuning_phases(variant.lower())
     return universal_phases(variant)

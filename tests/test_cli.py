@@ -62,6 +62,14 @@ class TestSequenceCommand:
         assert code == 2
         assert "odd" in err
 
+    def test_misspelled_broadband_variant_rejected(self, capsys):
+        # int() reads n1_3 as 13
+        code, out, err = run(capsys, "sequence", "--family", "broadband",
+                             "--variant", "n1_3", "--phase-pi", "0")
+        assert code == 2
+        assert out == ""
+        assert "broadband variant must look like 'n3', got 'n1_3'" in err
+
     def test_non_finite_gate_phase_rejected(self, capsys):
         code, out, err = run(capsys, "sequence", "--family", "broadband",
                              "--variant", "n3", "--phase-pi", "nan")

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,9 +170,16 @@ class TestLookup:
         with pytest.raises(ValueError, match="family"):
             composite_phases("narrowband", "n3")
 
-    def test_bad_broadband_variant(self):
-        with pytest.raises(ValueError, match="n3"):
-            composite_phases("broadband", "abc")
+    @pytest.mark.parametrize("variant", ["abc", "nn3", "n+3", "n 3", "n1_3", " n3", "n3 ",
+                                         "n-3", "m3", "n", "", "n\u0663", "n3.0"])
+    def test_bad_broadband_variant(self, variant):
+        # int() would take a sign, blanks, underscores and other scripts' digits
+        with pytest.raises(ValueError, match=rf"look like 'n3', got {re.escape(repr(variant))}$"):
+            composite_phases("broadband", variant)
+
+    @pytest.mark.parametrize("variant, n", [("n3", 3), ("N3", 3), ("5", 5), ("n025", 25)])
+    def test_broadband_variant_spellings(self, variant, n):
+        assert composite_phases("broadband", variant) is broadband_phases(n)
 
 
 def _every_shipped_table():

@@ -1,20 +1,19 @@
 """Parameter sweeps of composite-gate infidelity, plus diagnostic fits.
 
-A scan walks its flat grid in blocks of 8,192 points.  Each block takes its
-pulse parameters from the axis grids at its flat indices and goes through
-:func:`cpgates.pulses.constituent_grid` and
-:func:`cpgates.sequences.sequence_infidelity`, which takes each point to the
-closed form or to the fold and its closure: the same kernels a single point
-query runs.  A scan holds its values, its axes and one block, whose arrays
-stay in cache; under tracemalloc a 400x400 map of a 50-pulse gate peaks at
-2.2x its values in closed form, 2.4x folded.  Grid points are pure function
-evaluations and every block takes the same numpy loops, so a point's bits
-depend neither on the run nor on the size of its scan.  A scan
-holds at most 10,000,000 points in all, checked before any grid is built.
-How accurately pulses are computed is the pulse layer's business: a point
-that missed its accuracy contract arrives as NaN, so a scan fails with
-:class:`ScanError` exactly when some infidelity is not finite, and the error
-carries every failing coordinate.
+A scan walks its grid in the blocks of whole rows that the CSV writer and
+reader walk, at most 8,192 points each.  A block's coordinates are a slice
+per axis, the outer one as a column, and each swept pulse parameter keeps
+its axis, so :func:`cpgates.pulses.constituent_grid` forms a quantity of one
+parameter once per row or column; :func:`cpgates.sequences.sequence_infidelity`
+takes each point to the closed form or to the fold and its closure, as for
+a point query.  A scan holds its values, its axes and one block, whose
+arrays stay in cache: under tracemalloc a 400x400 map of a 50-pulse gate
+peaks at 1.8x its values in closed form, 1.9x folded.  Every block takes
+the same numpy loops, so a point's bits depend neither on the run nor on
+the size of its scan.  A scan holds at most 10,000,000 points, checked
+before any grid is built.  A point that missed the pulse layer's accuracy
+contract arrives as NaN: a scan fails with :class:`ScanError`, carrying
+every failing coordinate, exactly when some infidelity is not finite.
 
 Swept parameters are dimensionless and always refer to the template pulse's
 duration T0:
@@ -180,12 +179,9 @@ class ScanResult:
 
 
 def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], coords):
-    """Pulse parameter arrays of a block from the template and its axis coordinates."""
+    """A block's pulse parameters: swept ones in their coordinates' shape, others floats."""
     t0 = template.duration
-    omega0 = np.full_like(coords[0], template.peak_rabi)
-    duration = np.full_like(coords[0], t0)
-    rate = np.full_like(coords[0], template.rate)
-
+    omega0, duration, rate = template.peak_rabi, t0, template.rate
     for ax, grid in zip(axes, coords):
         if ax.parameter == "pulse_area_fraction":
             # area grid*pi over the area per unit Omega0*T gives Omega0*T0
@@ -201,10 +197,9 @@ def _apply_axes(template: PulseSpec, axes: tuple[SweepAxis, ...], coords):
 
 def _check_points(metric: np.ndarray, grids: tuple[np.ndarray, ...]) -> None:
     """Raise ScanError with every non-finite point of a metric, row-major over grids."""
-    bad = np.flatnonzero(~np.isfinite(metric))
-    if not bad.size:
+    at = np.nonzero(~np.isfinite(metric))
+    if not at[0].size:
         return
-    at = np.unravel_index(bad, tuple(g.size for g in grids))
     where = np.stack([g[i] for g, i in zip(grids, at)], axis=1)
     shown = ", ".join(str(tuple(map(float, row))) for row in where[:5])
     raise ScanError(
@@ -229,6 +224,16 @@ def _metadata(seq: PhaseGateSequence, template: PulseSpec) -> dict:
     }
 
 
+def _block_ranges(shape: tuple[int, ...]) -> Iterator[tuple[slice, ...]]:
+    """A scan's blocks, row-major, as a slice per axis (see :func:`_blocks`)."""
+    outer, inner = (1, *shape)[-2:]  # a curve is one row
+    step = min(inner, _BLOCK)  # inner values per block
+    rows = _BLOCK // step  # whole rows per block
+    for r in range(0, outer, rows):
+        for lo in range(0, inner, step):
+            yield (slice(r, min(r + rows, outer)), slice(lo, min(lo + step, inner)))[-len(shape):]
+
+
 def _run_scan(
     axes: tuple[SweepAxis, ...],
     seq: PhaseGateSequence,
@@ -240,23 +245,17 @@ def _run_scan(
     if any(ax.parameter == "detuning_times_T" for ax in axes) and template.model != "constant":
         raise ValueError("a detuning sweep requires the constant-detuning model")
     grids = [ax.grid() for ax in axes]
-    shape = tuple(g.size for g in grids)
-    points = math.prod(shape)
+    values = np.empty(tuple(g.size for g in grids))
     # overflow and NaN surface as non-finite points, which _check_points
     # reports as a ScanError, so numpy need not warn about them on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.empty(points)
-        for lo in range(0, points, _BLOCK):
-            at = np.unravel_index(np.arange(lo, min(lo + _BLOCK, points)), shape)
-            params = _apply_axes(template, axes, [g[i] for g, i in zip(grids, at)])
+        for at in _block_ranges(values.shape):
+            # the block's coordinates as an open mesh, one row or column per axis
+            params = _apply_axes(template, axes, np.ix_(*(g[i] for g, i in zip(grids, at))))
             a, b = constituent_grid(template.shape, template.model, *params)
-            values[lo:lo + _BLOCK] = sequence_infidelity(seq, a, b)
+            values[at] = sequence_infidelity(seq, a, b)
     _check_points(values, grids)
-    return ScanResult(
-        axes=axes,
-        values=values.reshape(shape),
-        metadata=_metadata(seq, template),
-    )
+    return ScanResult(axes=axes, values=values, metadata=_metadata(seq, template))
 
 
 def scan_1d(
@@ -512,9 +511,10 @@ def _line_ends(rects: list, shape: tuple[int, int]) -> np.ndarray:
 def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple]:
     """A scan's data rows in the blocks that the CSV writer and reader walk.
 
-    A block is whole rows of at most 8,192 values, or part of one row if the
-    inner axis is longer.  It comes as its first flat index, its coordinates
-    (one grid slice per axis), its lines and their rectangles.  The lines are
+    A block (:func:`_block_ranges`) is whole rows of at most 8,192 values, or
+    part of one row if the inner axis is longer; the scan walks the same
+    blocks.  It comes as its first flat index, its lines' (rows, columns),
+    its lines and their rectangles.  The lines are
     one byte template, "x,y,0.00000000000e+00\n" for every point (without
     "x," on a curve), each coordinate spelled by :func:`_format_e11`.  A
     rectangle (:func:`_layout`) holds lines of one length: the block's rows
@@ -529,42 +529,41 @@ def _blocks(axes: tuple[SweepAxis, ...]) -> Iterator[tuple]:
     while they serve every block.
     """
     *outer, inner = (ax.grid() for ax in axes)
-    step = min(inner.size, _BLOCK)  # inner values per block
-    rows = _BLOCK // step  # whole rows per block
-    span = rows * (_BLOCK // rows)  # outer values formatted at once, in whole blocks
-    y = buffer = laid = None
-    for c in range(0, outer[0].size if outer else 1, span):
-        xs = _format_e11(outer[0][c:c + span]) if outer else None
-        xruns = _runs(xs) if outer else [(slice(0, 1), None)]
-        for r in range(0, len(xs) if outer else 1, rows):
-            x = xs[r:r + rows] if outer else None
-            row_runs = [(slice(max(a.start - r, 0), min(a.stop - r, rows)), xt)
-                        for a, xt in xruns if r < a.stop and a.start < r + rows]
-            for lo in range(0, inner.size, step):
-                fresh = y is None or step < inner.size
-                if fresh:
-                    y = None  # not held while the next codes are spelled
-                    y = _format_e11(inner[lo:lo + step])
-                    column_runs = _runs(y)
-                rects, size = _layout(row_runs, column_runs)
-                if buffer is None or buffer.size < size:
-                    buffer, laid = np.empty(size, np.uint8), None
-                lines, whole = buffer[:size], laid != rects
-                for rect in rects:
-                    view, (xrows, ycols, *_, lead, xt, yt) = _rectangle(lines, rect), rect
-                    if whole:
-                        view[..., _VALUE.start - 1] = ord(",")
-                        view[..., _VALUE] = _LOWEST
-                        view[..., -1] = ord("\n")
-                        if xt is not None:
-                            view[..., lead - 1] = ord(",")
-                    if whole or fresh:
-                        view[..., lead:lead + yt.stop - yt.start] = y[ycols, yt]
-                    if xt is not None:
-                        view[..., :lead - 1] = x[xrows, None, xt]
-                laid = rects
-                coordinates = [outer[0][c + r:c + r + len(x)]] if outer else []
-                yield (c + r) * inner.size + lo, coordinates + [inner[lo:lo + step]], lines, rects
+    xs = y = buffer = laid = None
+    x, row_runs, row, n = None, [(slice(0, 1), None)], 0, 1  # a curve's block is one row
+    for *rows, columns in _block_ranges(tuple(ax.samples for ax in axes)):
+        if outer:
+            row, n = rows[0].start, rows[0].stop - rows[0].start
+            if xs is None or row + n > c + len(xs):  # past the outer codes spelled
+                c, xs = row, _format_e11(outer[0][row:row + _BLOCK])
+                xruns = _runs(xs)
+            r = row - c
+            x = xs[r:r + n]
+            row_runs = [(slice(max(a.start - r, 0), min(a.stop - r, n)), xt)
+                        for a, xt in xruns if r < a.stop and a.start < r + n]
+        fresh = y is None or columns.stop - columns.start < inner.size
+        if fresh:
+            y = None  # not held while the next codes are spelled
+            y = _format_e11(inner[columns])
+            column_runs = _runs(y)
+        rects, size = _layout(row_runs, column_runs)
+        if buffer is None or buffer.size < size:
+            buffer, laid = np.empty(size, np.uint8), None
+        lines, whole = buffer[:size], laid != rects
+        for rect in rects:
+            view, (xrows, ycols, *_, lead, xt, yt) = _rectangle(lines, rect), rect
+            if whole:
+                view[..., _VALUE.start - 1] = ord(",")
+                view[..., _VALUE] = _LOWEST
+                view[..., -1] = ord("\n")
+                if xt is not None:
+                    view[..., lead - 1] = ord(",")
+            if whole or fresh:
+                view[..., lead:lead + yt.stop - yt.start] = y[ycols, yt]
+            if xt is not None:
+                view[..., :lead - 1] = x[xrows, None, xt]
+        laid = rects
+        yield row * inner.size + columns.start, (n, columns.stop - columns.start), lines, rects
 
 
 def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes | memoryview]:
@@ -591,12 +590,9 @@ def _csv_bytes(result: ScanResult, extra_header: dict | None) -> Iterator[bytes 
     yield "".join(header).encode("utf-8")
 
     values = result.values.ravel()
-    scratch = None
-    for start, coordinates, lines, rects in _blocks(result.axes):
-        shape = (1, *map(len, coordinates))[-2:]  # a curve's block is one row
+    scratch = np.empty((min(values.size, _BLOCK), _CANONICAL), np.uint8)
+    for start, shape, lines, rects in _blocks(result.axes):
         block = values[start:start + math.prod(shape)]
-        if scratch is None:  # for the first block, the largest
-            scratch = np.empty((block.size, _CANONICAL), np.uint8)
         # a third exponent digit goes before its line's "\n"
         long, digit = _format_e11(block, scratch[:block.size])
         digits = scratch[:block.size].reshape(*shape, _CANONICAL)
@@ -666,7 +662,8 @@ def _canonical_rows(lines: np.ndarray, template: np.ndarray, rects: list,
     columns) values, over which lines count row-major.  One range compare
     per rectangle checks every byte: ``lines - template`` in uint8 is 0
     outside the value fields and at most ``_SPAN`` in them, with an exponent
-    sign "," (1) refused apart.  It is taken in place, in pieces of at most
+    sign "," (1) and a leading 0 in any field but zero's, 0.00000000000e+00,
+    refused apart.  It is taken in place, in pieces of at most
     4,096 lines, and leaves the digits as 0-9 for :func:`_parse`.  Returns
     the number of lines if none is off.
     """
@@ -680,9 +677,14 @@ def _canonical_rows(lines: np.ndarray, template: np.ndarray, rects: list,
         for i, j in itertools.product(range(0, rows, step), range(0, columns, _PIECE)):
             at = np.s_[i:i + step, j:j + _PIECE]
             diff = np.subtract(got[at], want[at], out=got[at])
-            if (diff <= span).all() and not (diff[..., -4] == 1).any():
+            # an exponent sign ",", or a leading 0 in a field other than zero's
+            odd = diff[..., -4] == 1
+            lead = diff[..., _VALUE.start] == 0
+            if lead.any():
+                odd[lead] |= diff[lead][:, _VALUE].any(-1)
+            if (diff <= span).all() and not odd.any():
                 continue
-            r, c = np.argwhere((diff > span).any(-1) | (diff[..., -4] == 1))[0].tolist()
+            r, c = np.argwhere((diff > span).any(-1) | odd)[0].tolist()
             line = (rect[0].start + i + r) * values.shape[1] + rect[1].start + j + c
             first = min(first, line)
             break  # the pieces of a rectangle come in the order of its lines
@@ -839,8 +841,7 @@ def read_scan_csv(path) -> ScanResult:
         fh.seek(data)
         values = np.empty(size)  # a read holds its values and one block
         raw = laid = None
-        for start, coordinates, template, rects in _blocks(tuple(axes)):
-            lines = (1, *map(len, coordinates))[-2:]  # rows and columns
+        for start, lines, template, rects in _blocks(tuple(axes)):
             if laid != (rects, lines):
                 ends, laid = _line_ends(rects, lines), (rects, lines)
             if raw is None or raw.size < template.size + ends.size:
@@ -851,9 +852,10 @@ def read_scan_csv(path) -> ScanResult:
                                            rows.reshape(lines)))
             if long.size:  # those before the first line off, whose other bytes hold
                 long = long[:np.searchsorted(long, off)]
-                rows[long] = np.concatenate(fields)[:long.size].view(f"S{_CANONICAL + 1}")[:, 0]
-                # three exponent digits of the writer's read as neither 0 nor inf
-                off = min(long[~((rows[long] > 0) & (rows[long] < np.inf))], default=off)
+                fields = np.concatenate(fields)[:long.size]
+                rows[long] = fields.view(f"S{_CANONICAL + 1}")[:, 0]
+                # the writer's three exponent digits are "%.11e" of the value read
+                off = min(long[(_format_e11(rows[long])[:, 1:] != fields).any(1)], default=off)
             if off < rows.size:  # after its template's lines and the longer lines before it
                 fh.seek(at + int(ends[off - 1] + 1 if off else 0) + np.searchsorted(long, off))
                 text = fh.readline(80)

@@ -116,16 +116,16 @@ MUTANTS = (
            ("tests/test_scan.py::TestCsvContract::test_value_digits_read_as_numpys_cast",)),
     Mutant("the reader's range compare against the template removed",
            "scan.py",
-           "if (diff <= span).all() and not (diff[..., -4] == 1).any():",
-           "if not (diff[..., -4] == 1).any():",
+           "if (diff <= span).all() and not odd.any():",
+           "if not odd.any():",
            ("tests/test_scan.py::TestCsvContract::test_a_changed_coordinate_digit_names_its_row",
             "tests/test_scan.py::TestCsvContract::test_a_flipped_byte_names_its_row[separator]",
             "tests/test_scan.py::TestCsvContract::test_a_flipped_byte_names_its_row[digit-above]",
             "tests/test_scan.py::TestCsvContract::test_a_malformed_row_names_the_file_row[inner1]")),
     Mutant("the reader's exponent-sign comma exclusion dropped",
            "scan.py",
-           "if (diff <= span).all() and not (diff[..., -4] == 1).any():",
-           "if (diff <= span).all():",
+           "odd = diff[..., -4] == 1",
+           "odd = np.zeros_like(diff[..., -4], bool)",
            ("tests/test_scan.py::TestCsvContract::test_a_flipped_byte_names_its_row[exponent-sign]",
             "tests/test_scan.py::TestCsvContract::test_a_malformed_row_names_the_file_row[inner1]")),
     Mutant("the byte path switched off: every block refused at its first line",
@@ -208,7 +208,7 @@ MUTANTS = (
             "tests/test_scan.py::test_grid_infidelity_matches_literal_definition")),
     Mutant("the reader ignoring an exponent's hundreds digit",
            "scan.py",
-           'rows[long] = np.concatenate(fields)[:long.size].view(f"S{_CANONICAL + 1}")[:, 0]',
+           'rows[long] = fields.view(f"S{_CANONICAL + 1}")[:, 0]',
            "pass",
            ("tests/test_scan.py::TestCsvContract::test_three_exponent_digits_read_as_bytes",)),
     Mutant("a longer line taken as a shift of two bytes",
@@ -217,12 +217,41 @@ MUTANTS = (
            "shift, lo = shift + 2 * grown.size,",
            ("tests/test_scan.py::TestCsvContract::test_three_exponent_digits_read_as_bytes",
             "tests/test_scan.py::TestCsvContract::test_a_shift_of_one_whole_line_reads_as_bytes")),
-    Mutant("a hundreds digit 0 taken for a longer line",
+    Mutant("a longer line's hundreds digit left unchecked",
            "scan.py",
            '(raw[found - 3] - ord("1") <= 8)',
-           '(raw[found - 3] - ord("0") <= 9)',
+           "True",
            ("tests/test_scan.py::TestCsvContract::test_a_flipped_byte_in_a_long_line_names_its_row"
-            "[hundreds-zero]",)),
+            "[hundreds]",)),
+    Mutant("a leading 0 taken in any value field",
+           "scan.py",
+           "odd[lead] |= diff[lead][:, _VALUE].any(-1)",
+           "pass",
+           ("tests/test_scan.py::TestCsvContract::test_spellings_the_writer_never_writes_name_their_row"
+            "[leading-0]",
+            "tests/test_scan.py::TestCsvContract::test_spellings_the_writer_never_writes_name_their_row"
+            "[zero-exponent]")),
+    Mutant("a longer line's field checked only for reading as neither 0 nor inf",
+           "scan.py",
+           "off = min(long[(_format_e11(rows[long])[:, 1:] != fields).any(1)], default=off)",
+           "off = min(long[~((rows[long] > 0) & (rows[long] < np.inf))], default=off)",
+           ("tests/test_scan.py::TestCsvContract::test_spellings_the_writer_never_writes_name_their_row"
+            "[subnormal]",)),
+    Mutant("the outer rows of every block shifted by one",
+           "scan.py",
+           "yield (slice(r, min(r + rows, outer)),",
+           "yield (slice(r + 1, min(r + rows, outer) + 1),",
+           ("tests/test_scan.py::TestBlockKernel::test_point_bits_do_not_depend_on_the_scan_size",
+            "tests/test_scan.py::TestBlockKernel::test_the_scan_walks_the_blocks_of_the_csv[samples1]",
+            "tests/test_scan.py::TestBlockWriter::test_rows_match_around_the_block_size"
+            "[linear-shape3]")),
+    Mutant("the integrated route's result left flat, not in the broadcast shape",
+           "pulses.py",
+           "a, b = (v.reshape(broadcast[0].shape) for v in integrate_pulse_grid(shape, model, *flat))",
+           "a, b = integrate_pulse_grid(shape, model, *flat)",
+           ("tests/test_pulses.py::test_broadcast_inputs_give_the_bits_of_flat_ones[integrated]",
+            "tests/test_scan.py::TestBlockKernel::test_a_chirped_map_equals_its_points_one_by_one",
+            "tests/test_scan.py::TestScan1D::test_every_failing_map_point_comes_back")),
 )
 
 

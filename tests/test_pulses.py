@@ -554,6 +554,24 @@ def test_failed_grid_points_come_back_as_nan(monkeypatch):
     assert np.isnan(a[1]) and np.isnan(b[1])
 
 
+@pytest.mark.parametrize("shape, model", [("rectangular", "constant"), ("sech", "constant"),
+                                          ("sech", "tanh_chirp")],
+                         ids=["rabi", "rosen-zener", "integrated"])
+def test_broadcast_inputs_give_the_bits_of_flat_ones(shape, model, integrations):
+    # a column, a row and a scalar, as a scan block passes its outer and
+    # inner axes and an unswept parameter: the bits, in the broadcast shape,
+    # of the same inputs made flat; the integrator gets them flat
+    omega0 = np.linspace(0.5, 3.0, 3)[:, None]
+    duration = np.linspace(0.6, 1.4, 4)[None, :]
+    rate = np.array(0.7)
+    a, b = constituent_grid(shape, model, omega0, duration, rate)
+    assert a.shape == b.shape == (3, 4)
+    flat = [v.ravel() for v in np.broadcast_arrays(omega0, duration, rate)]
+    want = constituent_grid(shape, model, *flat)
+    assert a.tobytes() == want[0].tobytes() and b.tobytes() == want[1].tobytes()
+    assert integrations == ([(shape, model)] * 2 if model == "tanh_chirp" else [])
+
+
 class TestGridReuse:
     RABI = np.linspace(0.5, 4.0, 7)
 

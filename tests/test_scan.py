@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from cpgates import pulses, scan
 from cpgates.presets import preset_jobs
-from cpgates.pulses import PulseSpec
+from cpgates.pulses import PulseSpec, constituent_grid
 from cpgates.scan import (
     ScanError,
     ScanResult,
@@ -34,6 +34,7 @@ from cpgates.sequences import (
     broadband_phases,
     detuning_phases,
     make_phase_gate_sequence,
+    sequence_infidelity,
     universal_phases,
 )
 
@@ -313,10 +314,62 @@ class TestBlockKernel:
             tracemalloc.stop()
         # bound: 4x the values.  Beside the values a scan holds its axis
         # grids and one block, whose parameters and infidelity are a fixed
-        # amount: 2.24x measured in closed form, 2.44x when this resonant
-        # map was folded.  Full-grid parameter arrays measured
-        # 7.2x, and a fold over the whole grid at once 21.0x.
+        # amount: 1.77x measured in closed form (1.92x for the same map of a
+        # detuned pulse, which folds), where blocks of flat parameter arrays
+        # took 2.24x (2.44x when this resonant map was folded).  Full-grid
+        # parameter arrays measured 7.2x, and a fold over the whole grid at
+        # once 21.0x.
         assert peak < 4 * res.values.nbytes
+
+    @pytest.mark.parametrize("samples", [(20_000,), (20, 601), (3, 9000), (scan._BLOCK + 1, 2)])
+    def test_the_scan_walks_the_blocks_of_the_csv(self, monkeypatch, samples):
+        # each block's first point and extent, from the coordinates the scan
+        # hands the pulse layer: those of the CSV writer's and reader's blocks
+        names = ("peak_rabi_times_T", "duration_fraction")[-len(samples):]
+        axes = tuple(SweepAxis(name, 0.5, 1.5, n) for name, n in zip(names, samples))
+        *outer, inner = (ax.grid() for ax in axes)
+        seen = []
+
+        def recorded(shape, model, omega0, duration, rate):
+            # T0 = 1, so omega0 and duration are the coordinates themselves
+            row = np.flatnonzero(outer[0] == omega0.flat[0])[0] if outer else 0
+            column = np.flatnonzero(inner == duration.flat[0])[0]
+            seen.append((row * inner.size + column, (omega0.size if outer else 1, duration.size)))
+            return constituent_grid(shape, model, omega0, duration, rate)
+
+        monkeypatch.setattr(scan, "constituent_grid", recorded)
+        scan._run_scan(axes, bb_gate(1), PulseSpec.rectangular(PI))
+        assert seen == [(start, shape) for start, shape, *_ in scan._blocks(axes)]
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("samples, sizes", [((5, 4), [8, 8, 4]), ((2, 11), [8, 3, 8, 3])])
+    def test_integrated_blocks_reach_the_integrator_flat(self, monkeypatch, samples, sizes):
+        # blocks of 8 points: whole rows of a 5 x 4 map, parts of 2 x 11's rows
+        monkeypatch.setattr(scan, "_BLOCK", 8)
+        got = []
+        original = pulses.integrate_pulse_grid
+
+        def recorded(shape, model, omega0, duration, rate):
+            got.append([v.shape for v in (omega0, duration, rate)])
+            return original(shape, model, omega0, duration, rate)
+
+        monkeypatch.setattr(pulses, "integrate_pulse_grid", recorded)
+        axes = (SweepAxis("peak_rabi_times_T", 0.5, 4.0, samples[0]),
+                SweepAxis("duration_fraction", 0.5, 1.5, samples[1]))
+        scan._run_scan(axes, bb_gate(3), PulseSpec.sech(1.0, chirp_rate=1.0))
+        assert got == [[(n,)] * 3 for n in sizes]
+
+    def test_a_chirped_map_equals_its_points_one_by_one(self):
+        # the integrated route broadcasts a block's row and column, ravels
+        # them for the integrator and reshapes what comes back
+        ax = SweepAxis("peak_rabi_times_T", 0.5, 6.0, 7)
+        ay = SweepAxis("duration_fraction", 0.5, 1.5, 5)
+        template, seq = PulseSpec.sech(1.0, chirp_rate=1.0), bb_gate(3)
+        res = scan_2d(ax, ay, seq, template)
+        for (i, x), (j, y) in itertools.product(enumerate(ax.grid()), enumerate(ay.grid())):
+            a, b = constituent_grid("sech", "tanh_chirp", np.array([x]), np.array([y]),
+                                    np.array([template.rate]))
+            assert res.values[i, j].tobytes() == sequence_infidelity(seq, a, b).tobytes()
 
 
 class TestErrorOrder:
@@ -905,6 +958,28 @@ class TestCsvContract:
             lines[at] = lines[at].replace(b",", b";", 1)
         path.write_bytes(b"".join(lines))
         with pytest.raises(ValueError, match=rf"data row 9504 is not .*{re.escape(digits)}"):
+            read_scan_csv(path)
+
+    @pytest.mark.parametrize("value, text", [
+        (0.5, "0.50000000000e+00"),  # the writer's 5.00000000000e-01
+        (0.0, "0.00000000000e-05"),  # the writer's zero is 0.00000000000e+00
+        (5e-125, "0.50000000000e-124"),  # a leading 0 with three exponent digits
+        (5e-324, "3.00000000000e-324"),  # reads as 5e-324, written 4.94065645841e-324
+    ], ids=["leading-0", "zero-exponent", "leading-0-long", "subnormal"])
+    def test_spellings_the_writer_never_writes_name_their_row(self, tmp_path, value, text):
+        # a 3-point curve whose middle value is edited into a spelling the
+        # writer never writes; the reader must refuse it, not read a number
+        result = ScanResult((SweepAxis("duration_fraction", 0.5, 1.5, 3),),
+                            np.array([0.25, value, 0.125]))
+        path = tmp_path / "curve.csv"
+        save_scan_csv(result, path)
+        data = path.read_bytes()
+        written = b",%.11e\n" % value
+        assert data.count(written) == 1
+        path.write_bytes(data.replace(written, b",%s\n" % text.encode()))
+        with pytest.raises(ValueError, match="data row 2 is not as the writer writes it: "
+                                             + re.escape(repr(b"1.00000000000e+00,"
+                                                              + text.encode())[:-1])):
             read_scan_csv(path)
 
     @pytest.mark.parametrize("inner", [SIGNED, POSITIVE])
